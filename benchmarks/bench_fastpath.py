@@ -1,8 +1,9 @@
 """Superblock fast-path throughput benchmark (BENCH_fastpath.json).
 
 Times the run phase of the Table 7.1 GF(p) kernel subset on the
-reference interpreter and on the superblock fast path
-(:mod:`repro.pete.fastpath`), cold (module caches cleared, so
+reference interpreter (:func:`repro.pete.diffexec.run_reference`) and
+block-threaded through the superblock fast path (``Pete.run``,
+:mod:`repro.pete.fastpath`), cold (module caches cleared, so
 discovery + compilation are paid) and warm (the production steady
 state: the runner's median-of-3 trials and every later measurement hit
 the shared block map).  Each kernel is prepared once and cloned per
@@ -40,17 +41,22 @@ INNER = 10
 BATCHES = (1, 4, 16, 64, 256, 1024)
 
 
-def _time_run(cpu, entry, *, fast: bool,
+def _time_run(cpu, entry, run, *,
               trials: int = TRIALS, inner: int = INNER) -> float:
-    """Best per-run wall-clock over ``trials`` batches of ``inner``."""
+    """Best per-run wall-clock of ``run(clone, entry)`` over ``trials``
+    batches of ``inner`` clones."""
     best = float("inf")
     for _ in range(trials):
         clones = [cpu.clone() for _ in range(inner)]
         t0 = time.perf_counter()
         for c in clones:
-            c.run(entry, fast=fast)
+            run(c, entry)
         best = min(best, (time.perf_counter() - t0) / inner)
     return best
+
+
+def _block_threaded(cpu, entry):
+    return cpu.run(entry)
 
 
 def _bench_lanes(out_dir: pathlib.Path) -> int:
@@ -75,8 +81,8 @@ def _bench_lanes(out_dir: pathlib.Path) -> int:
         cpu, entry = runner.prepare(name, k)
         # scalar fast-path baseline: warm the shared block map, then
         # time the run phase exactly as the scalar benchmark does
-        cpu.clone().run(entry, fast=True)
-        fast1_rate = 1.0 / _time_run(cpu, entry, fast=True)
+        cpu.clone().run(entry)
+        fast1_rate = 1.0 / _time_run(cpu, entry, _block_threaded)
 
         # warm the lane code cache so every width measures steady state
         warm_cores, warm_entry = runner.prepare_lanes(name, k, 2)
@@ -155,6 +161,7 @@ def main(argv: list[str]) -> int:
 
     from repro.kernels.runner import KernelRunner
     from repro.pete import fastpath
+    from repro.pete.diffexec import run_reference
 
     runner = KernelRunner(cache={})
     rows = []
@@ -163,18 +170,17 @@ def main(argv: list[str]) -> int:
     for name, k in KERNELS:
         cpu, entry = runner.prepare(name, k)
 
-        ref = cpu.clone()
-        ref_stats = ref.run(entry)
-        fast = cpu.clone()
-        fast_stats = fast.run(entry, fast=True)
+        ref_stats = run_reference(cpu.clone(), entry)
+        fast_stats = cpu.clone().run(entry)
         assert ref_stats == fast_stats, \
             f"{name}:{k}: fast-path stats diverge from reference"
 
-        t_ref = _time_run(cpu, entry, fast=False)
+        t_ref = _time_run(cpu, entry, run_reference)
         fastpath._CODE_CACHE.clear()
         fastpath._BLOCK_MAPS.clear()
-        t_cold = _time_run(cpu, entry, fast=True, trials=1, inner=1)
-        t_warm = _time_run(cpu, entry, fast=True)
+        t_cold = _time_run(cpu, entry, _block_threaded, trials=1,
+                           inner=1)
+        t_warm = _time_run(cpu, entry, _block_threaded)
 
         speedup = t_ref / t_warm
         rows.append({

@@ -39,9 +39,9 @@ def _time_run(cpu, entry, *, spanned: bool) -> float:
         for c in clones:
             if spanned:
                 with obs.span("pete.kernel"):
-                    c.run(entry, fast=True)
+                    c.run(entry)
             else:
-                c.run(entry, fast=True)
+                c.run(entry)
         best = min(best, (time.perf_counter() - t0) / INNER)
     return best
 
@@ -61,7 +61,7 @@ def main(argv: list[str]) -> int:
           f"{'on+span':>9} {'on/off':>7} {'span/off':>8}")
     for name, k in KERNELS:
         cpu, entry = runner.prepare(name, k)
-        stats = cpu.clone().run(entry, fast=True)   # warm the block map
+        stats = cpu.clone().run(entry)   # warm the block map
 
         t_off = _time_run(cpu, entry, spanned=False)
         obs.enable()

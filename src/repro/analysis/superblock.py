@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 from repro.analysis.cfg import AsmProgram
-from repro.pete.fastpath import COMPILABLE, MAX_BLOCK_LEN, MIN_BLOCK_LEN
+from repro.pete.blocks import COMPILABLE, MAX_BLOCK_LEN, MIN_BLOCK_LEN
 
 
 @dataclass(frozen=True)

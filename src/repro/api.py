@@ -28,9 +28,9 @@ Batch-first entry points (documented in ``docs/API.md``):
 
 The scalar and batch surfaces share one keyword vocabulary --- ``jobs``
 (process fan-out for artifact items), ``cache``/``cache_dir`` (the
-on-disk result store), ``calibration``, ``fast`` (superblock fast
-path), ``lanes`` (lane-engine batch width for kernel items) --- and one
-name-resolution path (:func:`_resolve`).
+on-disk result store), ``calibration``, ``lanes`` (lane-engine batch
+width for kernel items) --- and one name-resolution path
+(:func:`_resolve`).
 
 Everything here delegates to :mod:`repro.harness.registry`,
 :mod:`repro.sweep` and :mod:`repro.kernels.runner`; nothing below this
@@ -131,8 +131,8 @@ class BatchItem:
 class BatchRequest:
     """A typed fleet submission for :func:`compute_batch`.
 
-    ``jobs``/``cache``/``cache_dir``/``calibration``/``fast`` carry the
-    same semantics as :func:`sweep`; ``lanes`` widens a *single* kernel
+    ``jobs``/``cache``/``cache_dir``/``calibration`` carry the same
+    semantics as :func:`sweep`; ``lanes`` widens a *single* kernel
     item into that many lock-step lane instances (several identical
     kernel items are equivalent).  ``strict=True`` computes artifact
     items inline -- no cache, no pool, exceptions propagate -- which is
@@ -144,7 +144,6 @@ class BatchRequest:
     cache: bool = False
     cache_dir: object | None = None
     calibration: object | None = None
-    fast: bool | None = None
     lanes: int | None = None
     strict: bool = False
 
@@ -264,8 +263,7 @@ def _run_artifacts(req: BatchRequest, items, slots, engine_kwargs
     store = ResultCache(req.cache_dir) \
         if (req.cache or req.cache_dir) else None
     engine = SweepEngine(jobs=req.jobs, cache=store,
-                         calibration=req.calibration, fast=req.fast,
-                         **engine_kwargs)
+                         calibration=req.calibration, **engine_kwargs)
     result = engine.run(list(specs.values()))
     by_key = {(o.kind, o.name): o for o in result.outcomes}
     for i, it in items:
@@ -290,8 +288,7 @@ def _run_kernels(req: BatchRequest, items, slots) -> dict:
         groups.setdefault((it.name, it.k), []).append(i)
 
     totals: dict[str, int] = {}
-    engine = SweepEngine(jobs=1, calibration=req.calibration,
-                         fast=req.fast)
+    engine = SweepEngine(jobs=1, calibration=req.calibration)
     triples = [(name, k, _kernel_width(req, idxs))
                for (name, k), idxs in groups.items()]
     result = engine.run_lanes(triples)
@@ -325,8 +322,8 @@ def _run_kernels(req: BatchRequest, items, slots) -> dict:
 
 def compute_batch(request, *, jobs: int | None = None,
                   cache: bool | None = None, cache_dir=None,
-                  calibration=None, fast: bool | None = None,
-                  lanes: int | None = None, **engine_kwargs
+                  calibration=None, lanes: int | None = None,
+                  **engine_kwargs
                   ) -> BatchResult:
     """Run a fleet of artifact and/or kernel items.
 
@@ -341,8 +338,7 @@ def compute_batch(request, *, jobs: int | None = None,
     """
     req = _normalize_request(request, jobs=jobs, cache=cache,
                              cache_dir=cache_dir,
-                             calibration=calibration, fast=fast,
-                             lanes=lanes)
+                             calibration=calibration, lanes=lanes)
     start = time.perf_counter()
     artifact_items = [(i, it) for i, it in enumerate(req.items)
                       if not it.is_kernel]
@@ -379,7 +375,7 @@ def compute_batch(request, *, jobs: int | None = None,
 
 def compute_artifact(name: str, kind: str | None = None, *,
                      jobs: int = 1, cache: bool = False, cache_dir=None,
-                     calibration=None, fast: bool | None = None) -> dict:
+                     calibration=None) -> dict:
     """Produce one artifact's payload (batch-of-one).
 
     ``name`` accepts the same tokens as ``runall --only`` (``"7.1"``,
@@ -398,7 +394,7 @@ def compute_artifact(name: str, kind: str | None = None, *,
     result = compute_batch(BatchRequest(
         items=(BatchItem(name, kind),), jobs=jobs,
         cache=bool(cache or cache_dir is not None), cache_dir=cache_dir,
-        calibration=calibration, fast=fast, strict=strict))
+        calibration=calibration, strict=strict))
     lane = result.lanes[0]
     if not lane.ok:
         raise RuntimeError(
@@ -408,7 +404,7 @@ def compute_artifact(name: str, kind: str | None = None, *,
 
 
 def sweep(only=None, jobs: int = 1, cache: bool = True,
-          cache_dir=None, calibration=None, fast: bool | None = None,
+          cache_dir=None, calibration=None,
           **engine_kwargs) -> SweepResult:
     """Run artifacts (all of them, or an ``only`` selection) through
     the sweep engine -- a batch wrapper returning the embedded
@@ -427,7 +423,7 @@ def sweep(only=None, jobs: int = 1, cache: bool = True,
     request = BatchRequest(
         items=tuple(BatchItem(s.name, s.kind) for s in specs),
         jobs=jobs, cache=cache, cache_dir=cache_dir,
-        calibration=calibration, fast=fast)
+        calibration=calibration)
     with obs.span("api.sweep", jobs=str(jobs),
                   artifacts=str(len(specs))):
         result = compute_batch(request, **engine_kwargs)

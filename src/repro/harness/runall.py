@@ -196,12 +196,6 @@ def main(argv: list[str] | None = None) -> int:
                              "(default 600)")
     parser.add_argument("--retries", type=int, default=None, metavar="N",
                         help="retries per failed task (default 1)")
-    parser.add_argument("--fast", action="store_true",
-                        help="run kernel simulations on the superblock "
-                             "fast path (repro.pete.fastpath); output "
-                             "is byte-identical, only wall-clock "
-                             "changes (sets $REPRO_PETE_FAST for "
-                             "worker processes)")
     parser.add_argument("--stats-json", type=pathlib.Path, default=None,
                         metavar="PATH",
                         help="write run statistics as JSON "
@@ -257,13 +251,6 @@ def main(argv: list[str] | None = None) -> int:
                              f"{DEFAULT_TRACE_KERNEL})")
     args = parser.parse_args(argv)
 
-    if args.fast:
-        # before any kernel is measured: the process-wide shared runner
-        # reads the gate when it is first constructed
-        import os
-
-        os.environ["REPRO_PETE_FAST"] = "1"
-
     if args.profile or args.profile_kernel or args.trace:
         if args.profile:
             _run_profile(args.profile)
@@ -284,8 +271,7 @@ def main(argv: list[str] | None = None) -> int:
         from repro import obs
 
         tel = obs.enable()
-        root = tel.begin("runall", activate=True, jobs=str(args.jobs),
-                         fast="1" if args.fast else "0")
+        root = tel.begin("runall", activate=True, jobs=str(args.jobs))
 
     ledger = None
     if args.out:
@@ -310,8 +296,6 @@ def main(argv: list[str] | None = None) -> int:
         engine_kwargs["timeout_s"] = args.timeout
     if args.retries is not None:
         engine_kwargs["retries"] = args.retries
-    if args.fast:
-        engine_kwargs["fast"] = True
     engine = SweepEngine(jobs=args.jobs, cache=cache, ledger=ledger,
                          **engine_kwargs)
     result = engine.run(specs)

@@ -11,7 +11,6 @@ other's entries (the ISA feature set is implied by the kernel name).
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from dataclasses import dataclass
@@ -22,6 +21,7 @@ from repro.fields.nist import NIST_PRIMES, reduce_binary
 from repro.mp.binary_sqr import SQUARE_TABLE_8BIT
 from repro.mp.words import from_int, to_int
 from repro.pete.assembler import assemble
+from repro.pete.blocks import BoundedMemo
 from repro.pete.cpu import Pete
 from repro.pete.memory import RAM_BASE
 from repro.kernels import (
@@ -66,8 +66,7 @@ _SHARED_CACHE: dict[tuple, KernelResult] = {}
 #: the same program once per lane, and the assembler dominates prepare
 #: time.  The Assembled object is immutable after construction, so
 #: sharing one instance across cores (and across runners) is safe.
-_ASSEMBLED_MEMO: dict[str, object] = {}
-_ASSEMBLED_MEMO_MAX = 256
+_ASSEMBLED_MEMO = BoundedMemo(256)
 
 
 @dataclass(frozen=True)
@@ -102,20 +101,6 @@ class BatchKernelResult:
         return self.lanes / self.wall_s if self.wall_s > 0 else 0.0
 
 
-def fast_mode_default() -> bool:
-    """The ``$REPRO_PETE_FAST`` env gate for the superblock fast path.
-
-    Set to ``1`` (anything but ``""``/``"0"``) to make every
-    :class:`KernelRunner` without an explicit ``fast=`` argument run
-    its simulations through ``Pete.run(fast=True)``.  The fast path is
-    stats-identical to the reference interpreter, so measurements (and
-    every artifact derived from them) are unchanged -- only wall-clock
-    drops.  ``python -m repro.harness.runall --fast`` sets this before
-    any kernel is measured.
-    """
-    return os.environ.get("REPRO_PETE_FAST", "") not in ("", "0")
-
-
 class _CapturedRun(Exception):
     """Internal: carries a fully-prepared cpu out of a kernel builder."""
 
@@ -131,22 +116,19 @@ class KernelRunner:
     ``cache`` overrides the process-wide shared measurement memo (pass
     ``{}`` for an isolated runner); ``calibration`` is folded into the
     cache key so runners with different calibrations cannot serve each
-    other stale entries.  ``fast`` selects the superblock-threaded
-    interpreter (:mod:`repro.pete.fastpath`) for every simulation; it
-    defaults to the ``$REPRO_PETE_FAST`` env gate and changes nothing
-    but wall-clock (the fast path is stats-identical, enforced by
-    ``python -m repro.pete.diffexec``).
+    other stale entries.  Simulations run block-threaded
+    (:meth:`repro.pete.cpu.Pete.run`), which is stats-identical to the
+    reference interpreter (enforced by ``python -m
+    repro.pete.diffexec``).
     """
 
     def __init__(self, ledger=None, calibration=None,
-                 cache: dict | None = None,
-                 fast: bool | None = None) -> None:
+                 cache: dict | None = None) -> None:
         if calibration is None:
             from repro.energy.calibration import CALIBRATION
 
             calibration = CALIBRATION
         self.cal = calibration
-        self.fast = fast_mode_default() if fast is None else fast
         self._cache = _SHARED_CACHE if cache is None else cache
         self._recorded: set[tuple] = set()
         self._tracer = None          # TraceBus threaded through _build_cpu
@@ -282,11 +264,10 @@ class KernelRunner:
 
     def _launch(self, cpu: Pete, entry: int):
         """Every kernel builder starts its cpu through this hook, so
-        the fast/reference choice (and prepare()'s capture) apply
-        uniformly."""
+        prepare()'s capture applies uniformly."""
         if self._capture:
             raise _CapturedRun(cpu, entry)
-        return cpu.run(entry, fast=self.fast)
+        return cpu.run(entry)
 
     # -- harness construction -----------------------------------------------
 
@@ -296,9 +277,7 @@ class KernelRunner:
         full = source + "\n__halt:\n    halt\n"
         program = _ASSEMBLED_MEMO.get(full)
         if program is None:
-            if len(_ASSEMBLED_MEMO) >= _ASSEMBLED_MEMO_MAX:
-                _ASSEMBLED_MEMO.clear()
-            program = _ASSEMBLED_MEMO[full] = assemble(full, base=0)
+            program = _ASSEMBLED_MEMO.put(full, assemble(full, base=0))
         cpu = Pete(extensions=extensions, binary_extensions=binary_extensions,
                    tracer=self._tracer)
         cpu.load(program)

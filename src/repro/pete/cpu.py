@@ -26,6 +26,7 @@ Coprocessor-2 instructions are forwarded to an attached coprocessor model
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Protocol
 
@@ -122,18 +123,19 @@ class Pete:
         #: default) receiving typed events from every component
         self.tracer = tracer
         self.mem.tracer = tracer
-        self.mem.clock = self
+        # weak, so a dropped core is freed at once rather than by the
+        # cycle collector (batch preparation churns through many cores)
+        self.mem.clock = weakref.proxy(self)
         self.muldiv.tracer = tracer
         if self.icache is not None:
             self.icache.tracer = tracer
         #: the last program image loaded (symbol table for profilers)
         self.program: Assembled | None = None
-        #: superblock fast path (repro.pete.fastpath), built lazily by
-        #: ``run(fast=True)`` or attached by the diffexec harness
+        #: superblock fast path (repro.pete.fastpath), built by
+        #: ``begin`` or attached by the diffexec harness
         self.fastpath = None
-        #: delay-slot bookkeeping for the resumable stepping API
-        #: (``begin``/``step_instruction``); ``run``'s own loop keeps
-        #: the same state in locals for speed
+        #: delay-slot bookkeeping of the stepping API
+        #: (``begin``/``step_unit``/``step_instruction``)
         self._delay_target: int | None = None
         self._in_delay_slot = False
 
@@ -161,7 +163,7 @@ class Pete:
     def attach_tracer(self, tracer: "TraceBus | None") -> None:
         """Attach (or, with ``None``, detach) a trace bus mid-session.
 
-        Every component sees the new bus immediately; a fast-mode run
+        Every component sees the new bus immediately; a running core
         deoptimizes to the reference interpreter at the next superblock
         boundary, so per-instruction events keep firing.
         """
@@ -171,8 +173,8 @@ class Pete:
         if self.icache is not None:
             self.icache.tracer = tracer
         if tracer is not None and self.fastpath is not None:
-            # a core that has been running fast will now deoptimize to
-            # the reference interpreter at the next block boundary
+            # a core that has been running blocks will now deoptimize
+            # to the reference interpreter at the next block boundary
             from repro.pete.fastpath import note_deopt
 
             note_deopt()
@@ -238,8 +240,8 @@ class Pete:
         """Reset execution state to start at ``entry``.
 
         ``run`` calls this internally; the stepping API
-        (:meth:`step_instruction`) and the lock-step drivers in
-        :mod:`repro.pete.diffexec` call it directly.
+        (:meth:`step_unit`, :meth:`step_instruction`) and the lock-step
+        drivers in :mod:`repro.pete.diffexec` call it directly.
         """
         self.pc = entry
         self.regs[29] = RAM_BASE + self.mem.ram_size - 16  # $sp
@@ -247,6 +249,10 @@ class Pete:
         self._pending_target = None
         self._delay_target = None
         self._in_delay_slot = False
+        if self.fastpath is None:
+            from repro.pete.fastpath import Fastpath
+
+            self.fastpath = Fastpath(self)
 
     def step_instruction(self) -> bool:
         """Execute one instruction on the reference interpreter,
@@ -267,65 +273,43 @@ class Pete:
             self._in_delay_slot = True
         return True
 
-    def run(self, entry: int, max_cycles: int = 50_000_000,
-            fast: bool = False) -> CoreStats:
+    def step_unit(self) -> bool:
+        """Advance one unit: the compiled superblock at ``pc`` when one
+        applies (no pending delay slot, no tracing), else one
+        :meth:`step_instruction`.  Returns ``False`` once a ``break``
+        retires.  The deopt conditions are checked on every unit, so a
+        tracer attached mid-run takes effect at the next block
+        boundary."""
+        if (not self._in_delay_slot and self.tracer is None
+                and not self.trace_enabled):
+            block = self.fastpath.lookup(self.pc)
+            if block is not None:
+                block(self)
+                return True
+        return self.step_instruction()
+
+    def run(self, entry: int, max_cycles: int = 50_000_000) -> CoreStats:
         """Run from ``entry`` until a ``break`` retires.
 
-        ``fast=True`` routes execution through the superblock fast path
-        (:mod:`repro.pete.fastpath`): straight-line runs execute as
-        compiled closures with identical architectural state, stats and
-        energy activity.  With a tracer attached (or ``trace_enabled``)
-        the fast path transparently deoptimizes to the reference
-        interpreter so per-instruction events still fire.  The only
-        observable difference is the failure boundary of a non-halting
-        program: the fast path checks ``max_cycles`` at block (not
-        instruction) granularity.
+        Execution is block-threaded (:meth:`step_unit`): straight-line
+        runs execute as compiled closures (:mod:`repro.pete.fastpath`)
+        with identical architectural state, stats and energy activity.
+        With a tracer attached (or ``trace_enabled``) every unit is one
+        reference instruction, so per-instruction events still fire.
+        ``max_cycles`` is checked between units, i.e. at block rather
+        than instruction granularity.  The reference interpreter alone
+        runs through :func:`repro.pete.diffexec.run_reference`.
         """
         self.begin(entry)
-        if fast:
-            return self._run_fast(max_cycles)
-        delay_target: int | None = None
-        in_delay_slot = False
-        try:
-            while self.cycle < max_cycles:
-                self._step()
-                if in_delay_slot:
-                    assert delay_target is not None
-                    self.pc = delay_target
-                    delay_target = None
-                    in_delay_slot = False
-                elif self._pending_target is not None:
-                    delay_target = self._pending_target
-                    self._pending_target = None
-                    in_delay_slot = True
-        except Halt:
-            return self.stats
-        raise RuntimeError(f"program did not halt within {max_cycles} cycles")
-
-    def _run_fast(self, max_cycles: int) -> CoreStats:
-        """Superblock-threaded execution loop (``run(fast=True)``)."""
-        if self.fastpath is None:
-            from repro.pete.fastpath import Fastpath
-
-            self.fastpath = Fastpath(self)
-        fastpath = self.fastpath
         if self.tracer is not None or self.trace_enabled:
-            # fast mode requested but tracing is on: the whole run
-            # executes on the reference interpreter (counted once here,
-            # never inside the block loop)
+            # the whole run steps the reference interpreter (counted
+            # once here, never inside the loop)
             from repro.pete.fastpath import note_deopt
 
             note_deopt()
+        step_unit = self.step_unit
         while self.cycle < max_cycles:
-            # deopt conditions are re-checked at every block boundary,
-            # so a tracer attached mid-run takes effect immediately
-            if (not self._in_delay_slot and self.tracer is None
-                    and not self.trace_enabled):
-                block = fastpath.lookup(self.pc)
-                if block is not None:
-                    block(self)
-                    continue
-            if not self.step_instruction():
+            if not step_unit():
                 return self.stats
         raise RuntimeError(f"program did not halt within {max_cycles} cycles")
 

@@ -1,14 +1,18 @@
-"""Lock-step differential verification of the superblock fast path.
+"""Lock-step differential verification of the block-threaded engines.
 
-Runs the fast (:mod:`repro.pete.fastpath`) and reference interpreters
-side by side on identical inputs: the fast core advances one *unit* at
-a time (a compiled superblock, or a single reference instruction where
-no block applies), the reference core is then stepped by the same
-number of instructions, and the complete architectural state -- PC,
-registers, cycle, every ``CoreStats`` counter, the Hi/Lo/OvFlo
-accumulator, RAM contents, the branch predictor and the load-use latch
--- is compared at every unit boundary.  The first divergence is
-reported with disassembly context around the offending PC.
+Runs the block-threaded core (:meth:`repro.pete.cpu.Pete.step_unit`,
+superblocks from :mod:`repro.pete.fastpath`) and the reference
+interpreter side by side on identical inputs: the fast core advances
+one *unit* at a time (a compiled superblock, or a single reference
+instruction where no block applies), the reference core is then
+stepped by the same number of instructions, and the complete
+architectural state -- PC, registers, cycle, every ``CoreStats``
+counter, the Hi/Lo/OvFlo accumulator, RAM contents, the branch
+predictor and the load-use latch -- is compared at every unit
+boundary.  The first divergence is reported with disassembly context
+around the offending PC.  :func:`run_reference` is the whole run on
+the reference interpreter alone, the oracle tests and benchmarks
+compare ``Pete.run`` against.
 
 This is the correctness tool that lets interpreter work move fast: any
 change to the fast path (or the reference core) that breaks the
@@ -35,6 +39,7 @@ from dataclasses import dataclass, field
 
 from repro.pete.cpu import Pete
 from repro.pete.fastpath import Fastpath
+from repro.pete.stats import CoreStats
 
 #: One kernel per family: prime-field school/product-scanning, NIST
 #: reduction, binary-field comb + squaring, scalar loops, symmetric.
@@ -105,23 +110,17 @@ class DiffReport:
 # ---------------------------------------------------------------------------
 
 
-def step_unit(cpu: Pete, fastpath: Fastpath) -> tuple[bool, bool]:
-    """Advance ``cpu`` by one fast-path unit.
-
-    A unit is one compiled superblock when one applies (no pending
-    delay slot, no tracer attached), else one reference-interpreter
-    instruction.  Returns ``(alive, was_block)``; ``alive`` is False
-    once the core halts.  This mirrors ``Pete._run_fast`` exactly and
-    exists so callers (the lock-step loop, deopt tests) can observe
-    state *between* units.
-    """
-    if (not cpu._in_delay_slot and cpu.tracer is None
-            and not cpu.trace_enabled):
-        block = fastpath.lookup(cpu.pc)
-        if block is not None:
-            block(cpu)
-            return True, True
-    return cpu.step_instruction(), False
+def run_reference(cpu: Pete, entry: int,
+                  max_cycles: int = 50_000_000) -> CoreStats:
+    """Run ``cpu`` from ``entry`` to its halt on the reference
+    interpreter alone, one :meth:`Pete.step_instruction` at a time --
+    the oracle :meth:`Pete.run` is held to.  Unlike ``Pete.run`` it
+    checks ``max_cycles`` after every instruction."""
+    cpu.begin(entry)
+    while cpu.cycle < max_cycles:
+        if not cpu.step_instruction():
+            return cpu.stats
+    raise RuntimeError(f"program did not halt within {max_cycles} cycles")
 
 
 def _reg_name(index: int) -> str:
@@ -208,8 +207,7 @@ def lockstep(fast: Pete, entry: int, *, label: str = "",
     in lock-step from ``entry``; state is compared at every unit
     boundary and the first divergence ends the run."""
     ref = fast.clone()
-    fastpath = Fastpath(fast)
-    fast.fastpath = fastpath
+    fast.fastpath = Fastpath(fast)
     fast.begin(entry)
     ref.begin(entry)
     report = DiffReport(label or f"pc=0x{entry:x}")
@@ -219,11 +217,12 @@ def lockstep(fast: Pete, entry: int, *, label: str = "",
             raise RuntimeError(
                 f"{report.label}: no halt within {max_cycles} cycles")
         before = fast.stats.instructions
-        fast_alive, was_block = step_unit(fast, fastpath)
-        if was_block:
+        fast_alive = fast.step_unit()
+        retired = fast.stats.instructions - before
+        if retired > 1:   # only a superblock retires several at once
             report.blocks += 1
         ref_alive = True
-        for _ in range(fast.stats.instructions - before):
+        for _ in range(retired):
             ref_alive = ref.step_instruction()
             if not ref_alive:
                 break
@@ -397,17 +396,7 @@ def diff_kernel_lanes(name: str, k: int, lanes: int, *,
     vs per-lane reference interpreters."""
     from repro.kernels.runner import KernelRunner
 
-    runner = KernelRunner(cache={})
-    cores = []
-    entry = None
-    for _ in range(lanes):
-        cpu, e = runner.prepare(name, k)
-        if entry is None:
-            entry = e
-        elif e != entry:
-            raise RuntimeError(f"{name}:{k}: unstable entry point")
-        cores.append(cpu)
-    assert entry is not None
+    cores, entry = KernelRunner(cache={}).prepare_lanes(name, k, lanes)
     return lockstep_lanes(cores, entry, label=f"{name}:{k}[x{lanes}]",
                           max_cycles=max_cycles)
 

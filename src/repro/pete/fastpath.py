@@ -7,9 +7,11 @@ kernels this simulator exists to price are straight-line field
 arithmetic with hot, predictable inner loops, so almost all of that
 work is re-derivable from the instruction words alone.
 
-This module discovers *superblocks* at run time -- maximal straight-line
-runs of decoded instructions, ending at branches, jumps, COP2 commands
-and traps -- and compiles each into one specialized Python closure:
+This module compiles *superblocks* -- the maximal straight-line runs of
+compilable instructions that the shared block front end
+(:mod:`repro.pete.blocks`) discovers at run time -- into one
+specialized Python closure each, and :meth:`repro.pete.cpu.Pete.run`
+threads execution through them:
 
 * register indices, immediates and shift amounts are baked in as
   constants (``regs[9] = (regs[8] + 4) & MASK32``);
@@ -20,7 +22,7 @@ and traps -- and compiles each into one specialized Python closure:
   penalties, multiply/divide drain interlocks, and the load-use check
   against the instruction that ran *before* the block was entered.
 
-The contract is exactness: a fast-mode run must leave ``CoreStats``,
+The contract is exactness: a block-threaded run must leave ``CoreStats``,
 the architectural state (registers, memory, Hi/Lo accumulator, branch
 predictor) and therefore every derived energy number float-identical to
 a reference run.  The lock-step harness in :mod:`repro.pete.diffexec`
@@ -47,50 +49,25 @@ import time
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro import obs
-from repro.pete.cpu import _sources
+from repro.pete.blocks import (
+    MIN_BLOCK_LEN,
+    BoundedMemo,
+    close_blocks,
+    discover,
+    timing,
+)
 from repro.pete.isa import Decoded, PeteISA
 from repro.pete.muldiv import MASK32
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pete.cpu import Pete
 
-#: Discovery stops after this many instructions; execution simply
-#: continues in the follow-on block, so the cap only bounds codegen.
-MAX_BLOCK_LEN = 256
-#: Blocks shorter than this are not worth a call; the reference
-#: interpreter handles them (a ``None`` entry in the block map).
-MIN_BLOCK_LEN = 2
-
-#: Mnemonics with straight-line semantics (compilable into blocks).
-#: Everything else -- branches, jumps, COP2/CTC2, break -- ends a block
-#: and executes on the reference interpreter.
-_SIMPLE = frozenset((
-    "addu", "add", "addiu", "addi", "subu", "sub",
-    "and", "or", "xor", "nor",
-    "slt", "sltu", "slti", "sltiu",
-    "andi", "ori", "xori", "lui",
-    "sll", "srl", "sra", "sllv", "srlv", "srav",
-    "lw", "lh", "lhu", "lb", "lbu", "sw", "sh", "sb",
-    "syscall",
-))
-_MULDIV = frozenset((
-    "mult", "multu", "div", "divu", "mflo", "mfhi", "mtlo", "mthi",
-    "maddu", "m2addu", "addau", "sha", "mulgf2", "maddgf2",
-))
-COMPILABLE = _SIMPLE | _MULDIV
-
-#: mnemonics that charge the issue counters (mirrors Pete._step)
-_MULT_ISSUE = frozenset(("mult", "multu", "maddu", "m2addu",
-                         "mulgf2", "maddgf2"))
-_DIV_ISSUE = frozenset(("div", "divu"))
-
 _SIGN = 0x8000_0000
 
 #: Content-addressed code memo shared by every Fastpath instance:
 #: identical instruction words at the same entry PC compile to the same
 #: closure, so re-simulating a kernel reuses the compiled blocks.
-_CODE_CACHE: dict[tuple, Callable] = {}
-_CODE_CACHE_MAX = 4096
+_CODE_CACHE = BoundedMemo(4096)
 
 #: Process-wide fast-path activity counters, always maintained (cold
 #: path only -- discovery and compilation, never block execution) so
@@ -111,8 +88,8 @@ def runtime_stats_snapshot() -> dict[str, int]:
 def note_deopt() -> None:
     """Record one deopt-to-reference event: a run that had to leave the
     fast path because a tracer attached / tracing was switched on.
-    Called from :meth:`Pete.attach_tracer` and the fast-run prologue --
-    never from the per-block dispatch loop."""
+    Called from :meth:`Pete.attach_tracer` and the prologue of a traced
+    :meth:`Pete.run` -- never from the per-block dispatch loop."""
     RUNTIME_STATS["deopt_runs"] += 1
     tel = obs.get()
     if tel is not None:
@@ -136,16 +113,9 @@ class _BlockCompiler:
         self.decs = decs
         self.entry_pc = entry_pc
         self.icache_on = icache_on
+        self.timing = timing(decs)
         self.lines: list[str] = []
         self.pending_cycles = 0      # statically-known cycle delta
-        self.static_stall = 0
-        self.static_load_use = 0
-        self.mult_issues = 0
-        self.div_issues = 0
-        self.uses_muldiv = any(d.mnemonic in _MULDIV for d in decs)
-        # sources of the first instruction decide whether the incoming
-        # load-use interlock needs a dynamic guard ($zero never stalls)
-        self.entry_sources = tuple(r for r in _sources(decs[0]) if r)
 
     # -- emit helpers ----------------------------------------------------
 
@@ -297,26 +267,19 @@ class _BlockCompiler:
         elif m == "mthi":
             self.wait_muldiv()
             e(f"muldiv.set_hi(regs[{d.rs}])")
-        elif m in ("maddu", "m2addu", "mulgf2", "maddgf2"):
+        elif m in ("maddu", "m2addu", "mulgf2", "maddgf2", "addau"):
             self.wait_muldiv()
             e(f"muldiv.{m}(cycle, regs[{d.rs}], regs[{d.rt}])")
-        elif m == "addau":
-            self.wait_muldiv()
-            e(f"muldiv.addau(cycle, regs[{d.rs}], regs[{d.rt}])")
         elif m == "sha":
             self.wait_muldiv()
             e("muldiv.sha(cycle)")
         else:  # pragma: no cover - discovery guarantees coverage
             raise ValueError(f"mnemonic {m!r} is not compilable")
-        if m in _MULT_ISSUE:
-            self.mult_issues += 1
-        elif m in _DIV_ISSUE:
-            self.div_issues += 1
 
     # -- whole-block assembly --------------------------------------------
 
     def source(self) -> str:
-        decs, entry_pc = self.decs, self.entry_pc
+        decs, entry_pc, t = self.decs, self.entry_pc, self.timing
         n = len(decs)
         out = self.lines
         out.append("def __block(cpu):")
@@ -324,21 +287,20 @@ class _BlockCompiler:
         self.emit("mem = cpu.mem")
         self.emit("stats = cpu.stats")
         self.emit("cycle = cpu.cycle")
-        if self.uses_muldiv:
+        if t.uses_muldiv:
             self.emit("muldiv = cpu.muldiv")
         if self.icache_on:
             self.emit("access = cpu.icache.access")
-        dynamic_stall = (self.icache_on or self.uses_muldiv
-                         or bool(self.entry_sources))
+        dynamic_stall = (self.icache_on or t.uses_muldiv
+                         or bool(t.entry_sources))
         if dynamic_stall:
             self.emit("stall = 0")
-        if self.uses_muldiv:
+        if t.uses_muldiv:
             self.emit("mstall = 0")
-        if self.entry_sources:
+        if t.entry_sources:
             self.emit("luse = 0")
 
-        prev_load_reg: int | None = None
-        for i, d in enumerate(decs):
+        for i, (d, stall) in enumerate(zip(decs, t.stall_before)):
             pc = entry_pc + 4 * i
             if self.icache_on:
                 # `now` is only a trace timestamp; tracer is None here
@@ -346,45 +308,39 @@ class _BlockCompiler:
                 self.emit("if _p:")
                 self.emit("    cycle += _p")
                 self.emit("    stall += _p")
-            if i == 0:
-                if self.entry_sources:
-                    self.emit("_llr = cpu._last_load_reg")
-                    srcs = repr(self.entry_sources)
-                    self.emit(f"if _llr is not None and _llr in {srcs}:")
-                    self.emit("    cycle += 1")
-                    self.emit("    stall += 1")
-                    self.emit("    luse += 1")
-            elif prev_load_reg is not None and \
-                    prev_load_reg in _sources(d):
-                # intra-block load-use interlock: statically certain
+            if i == 0 and t.entry_sources:
+                self.emit("_llr = cpu._last_load_reg")
+                self.emit(f"if _llr is not None and _llr in "
+                          f"{t.entry_sources!r}:")
+                self.emit("    cycle += 1")
+                self.emit("    stall += 1")
+                self.emit("    luse += 1")
+            if stall:   # static intra-block load-use interlock
                 self.pending_cycles += 1
-                self.static_stall += 1
-                self.static_load_use += 1
             self.gen_exec(d)
             self.pending_cycles += 1   # the instruction's own cycle
-            prev_load_reg = d.rt if (d.is_load and d.rt) else None
 
         self.flush_cycles()
         self.emit("cpu.cycle = cycle")
         self.emit(f"cpu.pc = {entry_pc + 4 * n}")
-        self.emit(f"cpu._last_load_reg = {prev_load_reg!r}")
+        self.emit(f"cpu._last_load_reg = {t.exit_load!r}")
         self.emit("stats.cycles = cycle")
         self.emit(f"stats.instructions += {n}")
         stall_terms = (["stall"] if dynamic_stall else []) + \
-            ([str(self.static_stall)] if self.static_stall else [])
+            ([str(t.static_stalls)] if t.static_stalls else [])
         if stall_terms:
             self.emit(f"stats.stall_cycles += {' + '.join(stall_terms)}")
-        luse_terms = (["luse"] if self.entry_sources else []) + \
-            ([str(self.static_load_use)] if self.static_load_use else [])
+        luse_terms = (["luse"] if t.entry_sources else []) + \
+            ([str(t.static_stalls)] if t.static_stalls else [])
         if luse_terms:
             self.emit(
                 f"stats.load_use_stalls += {' + '.join(luse_terms)}")
-        if self.uses_muldiv:
+        if t.uses_muldiv:
             self.emit("stats.mult_stall_cycles += mstall")
-        if self.mult_issues:
-            self.emit(f"stats.mult_issues += {self.mult_issues}")
-        if self.div_issues:
-            self.emit(f"stats.div_issues += {self.div_issues}")
+        if t.mult_issues:
+            self.emit(f"stats.mult_issues += {t.mult_issues}")
+        if t.div_issues:
+            self.emit(f"stats.div_issues += {t.div_issues}")
         if not self.icache_on:
             # uncached fetch: one ROM word read per instruction (the
             # cached path counts accesses inside ICache.access)
@@ -418,8 +374,7 @@ _MISS = object()
 #: re-discovering and re-decoding every block on every run (discovery
 #: dominates short runs otherwise).  Closures only touch the ``cpu``
 #: argument they are called with, so sharing them across cores is safe.
-_BLOCK_MAPS: dict[tuple, dict[int, Optional[Callable]]] = {}
-_BLOCK_MAPS_MAX = 64
+_BLOCK_MAPS = BoundedMemo(64)
 
 
 class Fastpath:
@@ -458,9 +413,7 @@ class Fastpath:
                      cpu.muldiv.binary_extensions)
         blocks = _BLOCK_MAPS.get(self._key)
         if blocks is None:
-            if len(_BLOCK_MAPS) >= _BLOCK_MAPS_MAX:
-                _BLOCK_MAPS.clear()
-            blocks = _BLOCK_MAPS[self._key] = {}
+            blocks = _BLOCK_MAPS.put(self._key, {})
         self._blocks = blocks
 
     def invalidate(self) -> None:
@@ -492,35 +445,19 @@ class Fastpath:
 
     # -- discovery / compilation -----------------------------------------
 
-    def _discover(self, pc: int) -> tuple[list[Decoded], list[int]]:
-        """Decode forward from ``pc`` to the next block boundary."""
+    def _decode(self, addr: int) -> Decoded:
+        """The instruction in ROM at ``addr``, through the core's
+        decoded-instruction cache."""
         cpu = self._cpu
-        decoded_cache = cpu._decoded
-        decs: list[Decoded] = []
-        words: list[int] = []
-        addr = pc
-        while len(decs) < MAX_BLOCK_LEN:
-            try:
-                word = cpu.mem.peek_word(addr)
-            except MemoryError:
-                break
-            d = decoded_cache.get(addr)
-            if d is None or d.word != word:
-                try:
-                    d = PeteISA.decode(word)
-                except ValueError:
-                    break  # data / garbage: the reference path raises
-                decoded_cache[addr] = d
-            if d.mnemonic not in COMPILABLE:
-                break
-            decs.append(d)
-            words.append(word)
-            addr += 4
-        return decs, words
+        word = cpu.mem.peek_word(addr)
+        d = cpu._decoded.get(addr)
+        if d is None or d.word != word:
+            d = cpu._decoded[addr] = PeteISA.decode(word)
+        return d
 
     def _compile_at(self, pc: int) -> Optional[Callable]:
         t0 = time.perf_counter()
-        decs, words = self._discover(pc)
+        decs = discover(self._decode, pc)
         RUNTIME_STATS["blocks_discovered"] += 1
         tel = obs.get()
         if tel is not None:
@@ -528,13 +465,10 @@ class Fastpath:
         if len(decs) < MIN_BLOCK_LEN:
             return None
         icache_on = self._cpu.icache is not None
-        key = (icache_on, pc, tuple(words))
+        key = (icache_on, pc, tuple(d.word for d in decs))
         fn = _CODE_CACHE.get(key)
         if fn is None:
-            fn = compile_block(decs, pc, icache_on)
-            if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
-                _CODE_CACHE.clear()
-            _CODE_CACHE[key] = fn
+            fn = _CODE_CACHE.put(key, compile_block(decs, pc, icache_on))
             self.compiled += 1
             RUNTIME_STATS["blocks_compiled"] += 1
             if tel is not None:
@@ -551,24 +485,11 @@ class Fastpath:
 
     def precompile(self, starts) -> int:
         """Drive this core's shared block map to closure over
-        ``starts`` (statically known block-start pcs, e.g. CFG basic-
-        block leaders), including every ``MAX_BLOCK_LEN`` continuation.
-        Short runs are *decided* (stored as ``None``) rather than
-        compiled, so they also stop counting as discoveries later.
-        After closure, data-dependent control flow cannot trigger a
-        first-time compile on this program image under this
-        configuration.  Returns the number of blocks newly compiled.
-        """
+        ``starts`` (see :func:`repro.pete.blocks.close_blocks`); short
+        runs are *decided* (stored as ``None``), so they stop counting
+        as discoveries too.  Returns the number of blocks newly
+        compiled."""
         before = RUNTIME_STATS["blocks_compiled"]
-        seen: set[int] = set()
-        work = [int(pc) for pc in starts]
-        while work:
-            pc = work.pop()
-            if pc in seen:
-                continue
-            seen.add(pc)
-            self.lookup(pc)
-            decs, _ = self._discover(pc)
-            if len(decs) == MAX_BLOCK_LEN:
-                work.append(pc + 4 * MAX_BLOCK_LEN)
+        close_blocks(starts, lambda pc: getattr(
+            self.lookup(pc), "__fastpath_len__", 0))
         return RUNTIME_STATS["blocks_compiled"] - before

@@ -4,9 +4,12 @@ The :class:`LaneEngine` runs N independent copies of one program
 lock-step: the architectural state of every instance lives in numpy
 arrays with one *lane* per instance (register file ``(32, N)``, RAM
 ``(N, ram_size)``, per-lane cycle/stat/MulDiv vectors), and straight-
-line runs of compilable instructions — the same ``COMPILABLE`` set the
-superblock fast path (PR 5) folds — execute as a single vectorized
-closure per block, amortizing dispatch across the whole batch.
+line runs of compilable instructions — the blocks the shared front end
+(:mod:`repro.pete.blocks`) discovers for the scalar fast path too —
+execute as a single vectorized closure per block, amortizing dispatch
+across the whole batch.  The decoded instructions and pc -> closure
+maps belong to the program image, so every engine and bridge over one
+ROM shares them and a new batch over a known program compiles nothing.
 
 Control flow is where lanes can disagree.  Branches are evaluated
 densely; when every active lane agrees the group follows the common
@@ -14,9 +17,10 @@ target (including per-lane 2-bit BTFN predictor updates, folded with
 ``np.where``).  When lanes *diverge* — different branch outcomes, or
 ``jr`` targets that differ — the majority keeps vector execution and
 the minority is **demoted**: its lane state is copied into a scalar
-reference :class:`~repro.pete.cpu.Pete` bridge which single-steps until
-its pc re-converges with the group, at which point the lane **rejoins**
-the arrays bit-identically.  A lane that halts while demoted keeps its
+:class:`~repro.pete.cpu.Pete` bridge which advances unit by unit
+(:meth:`~repro.pete.cpu.Pete.step_unit`) until its pc re-converges with
+the group, at which point the lane **rejoins** the arrays
+bit-identically.  A lane that halts while demoted keeps its
 bridge as the source of truth; a group halt freezes the arrays.  The
 only masked dense operation is the RAM store (loads gather garbage for
 inactive lanes harmlessly; stores must not clobber demoted/halted
@@ -45,14 +49,17 @@ except ImportError:  # pragma: no cover - numpy is an optional dep
     np = None  # type: ignore[assignment]
 
 from repro import obs
-from repro.pete.cpu import Pete, _sources
-from repro.pete.fastpath import (
+from repro.pete.blocks import (
     COMPILABLE,
     MAX_BLOCK_LEN,
-    _DIV_ISSUE,
-    _MULDIV,
-    _MULT_ISSUE,
+    MULDIV,
+    BoundedMemo,
+    close_blocks,
+    discover,
+    timing,
 )
+from repro.pete.cpu import Pete, _sources
+from repro.pete.fastpath import Fastpath
 from repro.pete.isa import Decoded, PeteISA
 from repro.pete.memory import RAM_BASE
 from repro.pete.muldiv import (
@@ -65,7 +72,7 @@ from repro.pete.stats import CoreStats
 
 HAVE_NUMPY = np is not None
 
-#: Reference-stepped instructions per demoted lane per engine unit.
+#: Scalar-stepped instructions per demoted lane per engine unit.
 #: Small enough that diffexec's per-unit boundary check stays fine
 #: grained; large enough that a long divergent excursion is not
 #: dominated by rejoin polling.
@@ -73,8 +80,15 @@ FALLBACK_BURST = 64
 
 _STAT_FIELDS = tuple(CoreStats().as_dict().keys())
 
-_LANE_CODE_CACHE: dict[tuple, Callable] = {}
-_LANE_CODE_CACHE_MAX = 4096
+#: Content-addressed lane code memo: (entry pc, instruction words) ->
+#: closure, shared across programs.
+_LANE_CODE_CACHE = BoundedMemo(4096)
+
+#: Per-program-image maps, keyed by the ROM bytes: (pc -> Decoded,
+#: pc -> block entry, pc -> delay-slot closure).  Every engine and
+#: bridge over one ROM shares them; closures only touch the engine
+#: they are called with.
+_PROGRAM_MAPS = BoundedMemo(64)
 
 #: Cross-engine counters in the same style as ``fastpath.RUNTIME_STATS``;
 #: mirrored into the telemetry plane when a collector is active.
@@ -116,29 +130,23 @@ class _LaneCompiler:
     """Compile a straight-line run of COMPILABLE instructions into one
     vectorized closure ``fn(eng)`` operating on dense lane arrays.
 
-    Mirrors ``fastpath._BlockCompiler`` semantics exactly — static
-    cycle/stall/fetch folding, dynamic entry load-use and MulDiv waits
-    — but every register is a row of ``eng.regs`` and every stat a
-    per-lane vector.  All writes are dense (inactive lanes hold
-    garbage, see module docstring); memory traffic goes through the
-    engine's masked helpers.
+    Folds the same static timing (:func:`repro.pete.blocks.timing`) as
+    ``fastpath._BlockCompiler`` — static cycle/stall/fetch folding,
+    dynamic entry load-use and MulDiv waits — but every register is a
+    row of ``eng.regs`` and every stat a per-lane vector.  All writes
+    are dense (inactive lanes hold garbage, see module docstring);
+    memory traffic goes through the engine's masked helpers.
     """
 
     def __init__(self, decs: Sequence[Decoded], entry_pc: int) -> None:
         self.decs = list(decs)
         self.entry_pc = entry_pc
+        self.timing = timing(self.decs)
         self.body: list[str] = []
         self.ns: dict[str, object] = {"np": np}
         self.pending = 0          # statically folded cycles not yet flushed
-        self.static_stall = 0
-        self.static_luse = 0
-        self.mult_issues = 0
-        self.div_issues = 0
         self.used_u: set[int] = set()
         self.used_s: set[int] = set()
-        self.uses_stall = False   # emitted dynamic stall updates
-        self.uses_luse = False
-        self.uses_muldiv = False
 
     # -- emission helpers --------------------------------------------------
 
@@ -171,8 +179,6 @@ class _LaneCompiler:
 
     def wait_muldiv(self) -> None:
         """Stall until the MulDiv unit drains (dynamic, per lane)."""
-        self.uses_muldiv = True
-        self.uses_stall = True
         self.flush()
         self.emit("_w = np.maximum(_mdb - cyc, 0)")
         self.emit("np.add(cyc, _w, out=cyc)")
@@ -286,7 +292,7 @@ class _LaneCompiler:
             e(f"eng._sb({self.addr(d)}, {u(d.rt)})")
         elif m == "syscall":
             pass
-        elif m in _MULDIV:
+        elif m in MULDIV:
             self.wait_muldiv()
             if m == "mult":
                 e(f"eng._mult_s(cyc, {s(d.rs)}, {s(d.rt)})")
@@ -319,64 +325,47 @@ class _LaneCompiler:
                 e(f"eng._mulgf2(cyc, {u(d.rs)}, {u(d.rt)})")
             elif m == "maddgf2":
                 e(f"eng._maddgf2(cyc, {u(d.rs)}, {u(d.rt)})")
-            else:  # pragma: no cover - _MULDIV is closed
+            else:  # pragma: no cover - MULDIV is closed
                 raise ValueError(f"unhandled muldiv op {m!r}")
-            if m in _MULT_ISSUE:
-                self.mult_issues += 1
-            elif m in _DIV_ISSUE:
-                self.div_issues += 1
         else:  # pragma: no cover - COMPILABLE is closed
             raise ValueError(f"lane compiler cannot handle {m!r}")
 
     # -- whole-block assembly ---------------------------------------------
 
     def source(self) -> str:
-        decs = self.decs
+        decs, t = self.decs, self.timing
         n = len(decs)
 
         # Entry load-use hazard: dynamic, depends on the latch left by
         # the previous unit.  Interior hazards are static.
-        srcs = tuple(r for r in _sources(decs[0]) if r)
-        if srcs:
-            self.uses_stall = True
-            self.uses_luse = True
-            expr = " | ".join(f"(_llr == {r})" for r in sorted(srcs))
+        if t.entry_sources:
+            expr = " | ".join(f"(_llr == {r})"
+                              for r in sorted(t.entry_sources))
             self.emit(f"_m = {expr}")
             self.emit("np.add(cyc, _m, out=cyc)")
             self.emit("np.add(_sst, _m, out=_sst)")
             self.emit("np.add(_sls, _m, out=_sls)")
 
-        prev_load: int | None = None
-        for d in decs:
-            if prev_load is not None and prev_load in _sources(d):
+        for d, stall in zip(decs, t.stall_before):
+            if stall:
                 self.pending += 1
-                self.static_stall += 1
-                self.static_luse += 1
             self.gen(d)
             self.pending += 1
-            prev_load = d.rt if (d.is_load and d.rt) else None
 
         self.flush()
         st = []
         st.append("    np.copyto(_scy, cyc)")
         st.append(f"    np.add(_sin, {n}, out=_sin)")
-        if self.static_stall:
-            st.append(
-                f"    np.add(_sst, {self.static_stall}, out=_sst)"
-            )
-            self.uses_stall = True
-        if self.static_luse:
-            st.append(f"    np.add(_sls, {self.static_luse}, out=_sls)")
-            self.uses_luse = True
-        if self.mult_issues:
-            st.append(f"    np.add(_smi, {self.mult_issues}, out=_smi)")
-        if self.div_issues:
-            st.append(f"    np.add(_sdi, {self.div_issues}, out=_sdi)")
+        if t.static_stalls:
+            st.append(f"    np.add(_sst, {t.static_stalls}, out=_sst)")
+            st.append(f"    np.add(_sls, {t.static_stalls}, out=_sls)")
+        if t.mult_issues:
+            st.append(f"    np.add(_smi, {t.mult_issues}, out=_smi)")
+        if t.div_issues:
+            st.append(f"    np.add(_sdi, {t.div_issues}, out=_sdi)")
         st.append(f"    np.add(_srw, {n}, out=_srw)")
-        if prev_load is not None:
-            st.append(f"    eng.llr.fill({prev_load})")
-        else:
-            st.append("    eng.llr.fill(-1)")
+        latch = -1 if t.exit_load is None else t.exit_load
+        st.append(f"    eng.llr.fill({latch})")
         st.append(f"    eng.pc = {self.entry_pc + 4 * n:#x}")
 
         binds = [
@@ -386,20 +375,21 @@ class _LaneCompiler:
             "    _sin = eng.stats['instructions']",
             "    _srw = eng.stats['rom_word_reads']",
         ]
+        uses_luse = bool(t.entry_sources or t.static_stalls)
         if self.used_s:
             binds.append("    regs32 = eng.regs_i32")
-        if self.uses_stall:
+        if uses_luse or t.uses_muldiv:
             binds.append("    _sst = eng.stats['stall_cycles']")
-        if self.uses_luse:
+        if uses_luse:
             binds.append("    _sls = eng.stats['load_use_stalls']")
-        if self.uses_muldiv:
+        if t.uses_muldiv:
             binds.append("    _sms = eng.stats['mult_stall_cycles']")
             binds.append("    _mdb = eng.md_busy")
-        if self.mult_issues:
+        if t.mult_issues:
             binds.append("    _smi = eng.stats['mult_issues']")
-        if self.div_issues:
+        if t.div_issues:
             binds.append("    _sdi = eng.stats['div_issues']")
-        if srcs:
+        if t.entry_sources:
             binds.append("    _llr = eng.llr")
         for r in sorted(self.used_u):
             binds.append(f"    r{r} = regs[{r}]")
@@ -422,6 +412,19 @@ def compile_lane_block(decs: Sequence[Decoded], entry_pc: int) -> Callable:
     fn = namespace["__lane_block"]
     fn.__lane_source__ = src
     fn.__lane_len__ = len(decs)
+    return fn
+
+
+def _lane_code(pc: int, decs: Sequence[Decoded]) -> Callable:
+    """The closure for ``decs`` entered at ``pc``, compiled once per
+    process (:data:`_LANE_CODE_CACHE`)."""
+    key = (pc, tuple(d.word for d in decs))
+    fn = _LANE_CODE_CACHE.get(key)
+    if fn is None:
+        fn = _LANE_CODE_CACHE.put(key, compile_lane_block(decs, pc))
+        RUNTIME_STATS["lane_blocks_compiled"] += 1
+    else:
+        RUNTIME_STATS["lane_code_cache_hits"] += 1
     return fn
 
 
@@ -459,7 +462,7 @@ class LaneEngine:
                 raise ValueError("lanes must share MulDiv extensions")
             if len(c.mem.ram) != len(base.mem.ram):
                 raise ValueError("lanes must share the RAM size")
-            if bytes(c.mem.rom) != rom:
+            if c.mem.rom != base.mem.rom:
                 raise ValueError("lanes must share one ROM image")
 
         n = len(cores)
@@ -507,9 +510,12 @@ class LaneEngine:
                 self._pred_arr(p)[i] = state
 
         self.pc = base.pc
-        self._decoded: dict[int, Decoded] = {}
-        self._blocks: dict[int, tuple] = {}
-        self._slot_fns: dict[int, Callable] = {}
+        maps = _PROGRAM_MAPS.get(rom)
+        if maps is None:
+            maps = _PROGRAM_MAPS.put(rom, ({}, {}, {}))
+        #: pc -> Decoded, pc -> ("blk", closure) | ("ctl", Decoded) and
+        #: pc -> delay-slot closure, shared per program image
+        self._decoded, self._blocks, self._slot_fns = maps
         self._demoted: dict[int, Pete] = {}
         self._halted_bridges: dict[int, Pete] = {}
         self._max_cycles = 50_000_000
@@ -568,8 +574,8 @@ class LaneEngine:
 
     def step_unit(self) -> bool:
         """Advance one engine unit: every demoted bridge gets a burst of
-        reference steps (rejoining on pc re-convergence), then the
-        vector group executes one block or one control instruction.
+        scalar units (rejoining on pc re-convergence), then the vector
+        group executes one block or one control instruction.
         Returns False once every lane has halted."""
         if self._demoted:
             self._advance_demoted()
@@ -577,7 +583,6 @@ class LaneEngine:
             entry = self._blocks.get(self.pc)
             if entry is None:
                 entry = self._compile_at(self.pc)
-                self._blocks[self.pc] = entry
             kind, payload = entry
             if kind == "blk":
                 payload(self)
@@ -608,32 +613,16 @@ class LaneEngine:
         return d
 
     def _compile_at(self, pc: int) -> tuple:
-        decs: list[Decoded] = []
-        words: list[int] = []
-        at = pc
-        while len(decs) < MAX_BLOCK_LEN:
-            try:
-                d = self._decode(at)
-            except (ValueError, MemoryError):
-                break
-            if d.mnemonic not in COMPILABLE:
-                break
-            decs.append(d)
-            words.append(d.word)
-            at += 4
+        """Discover and compile the unit entered at ``pc`` into the
+        program's shared map: a vector block, or one control
+        instruction."""
+        decs = discover(self._decode, pc)
         if decs:
-            key = (pc, tuple(words))
-            fn = _LANE_CODE_CACHE.get(key)
-            if fn is None:
-                if len(_LANE_CODE_CACHE) >= _LANE_CODE_CACHE_MAX:
-                    _LANE_CODE_CACHE.clear()
-                fn = compile_lane_block(decs, pc)
-                _LANE_CODE_CACHE[key] = fn
-                RUNTIME_STATS["lane_blocks_compiled"] += 1
-            else:
-                RUNTIME_STATS["lane_code_cache_hits"] += 1
-            return ("blk", fn)
-        return ("ctl", self._decode(pc))
+            entry = ("blk", _lane_code(pc, decs))
+        else:
+            entry = ("ctl", self._decode(pc))
+        self._blocks[pc] = entry
+        return entry
 
     # -- control step ------------------------------------------------------
 
@@ -656,15 +645,7 @@ class LaneEngine:
                     f"unsupported delay-slot instruction {d.mnemonic!r} "
                     f"at 0x{addr:06x}"
                 )
-            key = (addr, (d.word,))
-            fn = _LANE_CODE_CACHE.get(key)
-            if fn is None:
-                if len(_LANE_CODE_CACHE) >= _LANE_CODE_CACHE_MAX:
-                    _LANE_CODE_CACHE.clear()
-                fn = compile_lane_block([d], addr)
-                _LANE_CODE_CACHE[key] = fn
-                RUNTIME_STATS["lane_blocks_compiled"] += 1
-            self._slot_fns[addr] = fn
+            fn = self._slot_fns[addr] = _lane_code(addr, [d])
         fn(self)
 
     def _step_control(self, d: Decoded) -> None:  # noqa: C901
@@ -822,6 +803,7 @@ class LaneEngine:
         b.mem.rom = self._rom_ba  # shared: ROM is read-only at runtime
         b._decoded = self._decoded
         b.program = self.program
+        b.fastpath = Fastpath(b)
         return b
 
     def _demote(self, lane: int, pc: int) -> None:
@@ -887,39 +869,29 @@ class LaneEngine:
         self.ram[lane] = np.frombuffer(b.mem.ram, dtype=np.uint8)
 
     def _advance_demoted(self) -> None:
+        """Advance every bridge by up to ``FALLBACK_BURST``
+        instructions, rejoining it where its pc meets the group's.
+        Once the vector group is gone no bridge can ever rejoin, so
+        each one drains to its halt instead."""
         group_pc = self.pc if self._act.size else None
         stepped = 0
-        if group_pc is None:
-            # the vector group is gone, so no bridge can ever rejoin:
-            # drain each one to its halt on the superblock fast path
-            # (bit-identical to reference stepping, PR 5) instead of
-            # burst-stepping the interpreter
-            for lane in list(self._demoted):
-                b = self._demoted[lane]
-                before = b.stats.instructions
-                b._run_fast(self._max_cycles)
-                stepped += b.stats.instructions - before
-                self._finalize_bridge(lane, b)
         for lane in list(self._demoted):
             b = self._demoted[lane]
-            if b.fastpath is None:
-                from repro.pete.fastpath import Fastpath
-
-                b.fastpath = Fastpath(b)
             before = b.stats.instructions
-            while b.stats.instructions - before < FALLBACK_BURST:
-                if b.pc == group_pc and not b._in_delay_slot:
+            while True:
+                if group_pc is None:
+                    if b.cycle >= self._max_cycles:
+                        raise RuntimeError(
+                            f"program did not halt within "
+                            f"{self._max_cycles} cycles")
+                elif b.stats.instructions - before >= FALLBACK_BURST:
+                    break
+                # the rejoin pc is always a block or control boundary,
+                # so block-granular stepping cannot skip past it
+                elif b.pc == group_pc and not b._in_delay_slot:
                     self._rejoin(lane, b)
                     break
-                # advance a whole superblock when one starts here (the
-                # rejoin pc is always a block or control boundary, so
-                # block-granular stepping cannot skip past it)
-                if not b._in_delay_slot:
-                    block = b.fastpath.lookup(b.pc)
-                    if block is not None:
-                        block(b)
-                        continue
-                if not b.step_instruction():
+                if not b.step_unit():
                     self._finalize_bridge(lane, b)
                     break
             stepped += b.stats.instructions - before
@@ -1289,59 +1261,31 @@ class LaneEngine:
         }
 
     def precompile(self, starts) -> int:
-        """Drive the lane code cache to closure over ``starts``.
-
-        ``starts`` are statically known block-start pcs (CFG basic-
-        block leaders).  Every straight-line run from a start is
-        compiled, including its ``MAX_BLOCK_LEN`` continuations and
-        the delay slot of the control transfer that terminates it --
-        the full set of pcs this engine can ever begin a block at.
+        """Drive the program's shared block map to closure over
+        ``starts`` (see :func:`repro.pete.blocks.close_blocks`), plus
+        the delay slot of every control transfer that ends a run --
+        the full set of pcs this engine can ever begin a unit at.
         After closure, *data-dependent* control flow (a rarely taken
         carry branch, a divergence demotion/rejoin) can no longer
         trigger a first-time compile mid-run, which is what lets a
-        serving worker promise compile-free steady state.
-
-        Returns the number of blocks newly compiled.
+        serving worker promise compile-free steady state.  Returns the
+        number of blocks newly compiled.
         """
         before = RUNTIME_STATS["lane_blocks_compiled"]
-        seen: set[int] = set()
-        work = [int(pc) for pc in starts]
-        while work:
-            pc = work.pop()
-            if pc in seen or pc < 0 or pc + 4 > self._rom_size:
-                continue
-            seen.add(pc)
-            # measure the compilable run at pc
-            length = 0
-            at = pc
-            while length < MAX_BLOCK_LEN:
-                try:
-                    d = self._decode(at)
-                except (ValueError, MemoryError):
-                    break
-                if d.mnemonic not in COMPILABLE:
-                    break
-                length += 1
-                at += 4
-            if length:
-                self._compile_at(pc)
-                if length == MAX_BLOCK_LEN:
-                    work.append(at)   # continuation is a block start
-                    continue
-            # the run ended at a control transfer: pre-fill its delay
-            # slot's single-instruction closure (the _exec_slot path)
-            try:
-                slot = self._decode(at + 4)
-            except (ValueError, MemoryError):
-                continue
-            if slot.mnemonic in COMPILABLE:
-                key = (at + 4, (slot.word,))
-                if key not in _LANE_CODE_CACHE:
-                    if len(_LANE_CODE_CACHE) >= _LANE_CODE_CACHE_MAX:
-                        _LANE_CODE_CACHE.clear()
-                    _LANE_CODE_CACHE[key] = compile_lane_block(
-                        [slot], at + 4)
-                    RUNTIME_STATS["lane_blocks_compiled"] += 1
+
+        def close(pc: int) -> int:
+            kind, payload = self._blocks.get(pc) or self._compile_at(pc)
+            length = payload.__lane_len__ if kind == "blk" else 0
+            slot = pc + 4 * length + 4
+            if length < MAX_BLOCK_LEN and slot not in self._slot_fns:
+                # the run ends at a control transfer: pre-fill its
+                # delay slot's closure (the _exec_slot path)
+                slot_decs = discover(self._decode, slot, limit=1)
+                if slot_decs:
+                    self._slot_fns[slot] = _lane_code(slot, slot_decs)
+            return length
+
+        close_blocks(starts, close)
         return RUNTIME_STATS["lane_blocks_compiled"] - before
 
 

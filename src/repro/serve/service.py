@@ -77,7 +77,6 @@ class ServeConfig:
     max_batch: int = 32           # lanes per dispatched micro-batch
     batch_window_s: float = 0.002  # linger for burst coalescing
     batch_timeout_s: float = 120.0  # per-batch worker deadline
-    fast: bool = True             # superblock fast path in workers
     stock_target: int = 32        # LanePool restock level per plan
     calibration: object | None = None
     cache_dir: object | None = None   # shared warm cache (ResultCache)
@@ -106,7 +105,7 @@ class WorkerHandle:
                      else default_cache_dir())
         self.proc = ctx.Process(
             target=worker_main,
-            args=(child, index, cfg.calibration, cfg.fast,
+            args=(child, index, cfg.calibration,
                   cfg.stock_target, cache_dir, obs_ctx),
             daemon=True)
         self.proc.start()

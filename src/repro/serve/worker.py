@@ -3,10 +3,11 @@
 Each worker is a long-lived process holding exactly the state that
 makes steady-state requests cheap:
 
-* the process-wide **assembled-program memo** and **fast-path block
-  maps** (:mod:`repro.pete.fastpath`) plus the **lane code cache**
-  (:mod:`repro.pete.lanes`) -- discovery and compilation happen once
-  per kernel plan, during warm-up, and never again;
+* the process-wide **assembled-program memo** and the per-program
+  **block maps** of the scalar fast path (:mod:`repro.pete.fastpath`)
+  and the lane engine (:mod:`repro.pete.lanes`) -- discovery and
+  compilation happen once per kernel plan, during warm-up, and never
+  again;
 * a :class:`~repro.pete.lanes.LanePool` of prepared cores, restocked
   *between* batches so the next batch's prepare cost is off the
   critical path;
@@ -88,8 +89,7 @@ def _static_block_starts(core, entry: int) -> list[int]:
 class _WorkerState:
     """Everything one worker process keeps warm between batches."""
 
-    def __init__(self, calibration=None, fast: bool = True,
-                 stock_target: int = 0,
+    def __init__(self, calibration=None, stock_target: int = 0,
                  cache_dir: str | None = None) -> None:
         from repro.kernels.runner import KernelRunner
         from repro.pete.lanes import LanePool, require_numpy
@@ -97,10 +97,8 @@ class _WorkerState:
         from repro.sweep.cache import ResultCache
 
         require_numpy()
-        if fast:
-            os.environ["REPRO_PETE_FAST"] = "1"
         self.runner = KernelRunner(ledger=NullLedger(),
-                                   calibration=calibration, fast=fast)
+                                   calibration=calibration)
         self.pool = LanePool(self.runner.prepare_lanes,
                              stock_target=stock_target)
         self.cache = ResultCache(cache_dir)
@@ -156,6 +154,7 @@ class _WorkerState:
         the first time a request's operands happen to hit it,
         mid-serve.
         """
+        from repro.pete.fastpath import Fastpath
         from repro.pete.lanes import LaneEngine
 
         cores, entry = self.pool.take(name, k, WARM_LANES)
@@ -164,13 +163,8 @@ class _WorkerState:
         starts = _static_block_starts(cores[0], entry)
         engine.precompile(starts)
         # the scalar fast path serves demoted lanes; its per-program
-        # shared block map needs the same closure (the Fastpath is
-        # created lazily, so force one onto the warm core)
-        if cores[0].fastpath is None:
-            from repro.pete.fastpath import Fastpath
-
-            cores[0].fastpath = Fastpath(cores[0])
-        cores[0].fastpath.precompile(starts)
+        # shared block map needs the same closure
+        Fastpath(cores[0]).precompile(starts)
         stats = engine.lane_stats(0)
         profile = self.cache.memo(
             self.plan_key(name, k, config),
@@ -220,14 +214,14 @@ class _WorkerState:
         }
 
 
-def worker_main(conn, index: int, calibration=None, fast: bool = True,
+def worker_main(conn, index: int, calibration=None,
                 stock_target: int = 0, cache_dir: str | None = None,
                 obs_ctx: dict | None = None) -> None:
     """Entry point of one worker process (runs until ``("stop",)``)."""
     if obs_ctx is not None:
         obs.activate_from(obs_ctx)
     try:
-        state = _WorkerState(calibration=calibration, fast=fast,
+        state = _WorkerState(calibration=calibration,
                              stock_target=stock_target,
                              cache_dir=cache_dir)
     except Exception as exc:

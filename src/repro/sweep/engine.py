@@ -52,25 +52,17 @@ _KILL_GRACE_S = 5.0
 
 
 def _compute_payload(kind: str, name: str,
-                     calibration: "Calibration | None" = None,
-                     fast: bool | None = None) -> dict:
+                     calibration: "Calibration | None" = None) -> dict:
     """Default task body (top-level so pool workers can unpickle it).
 
     ``calibration`` installs the matching
     :class:`~repro.model.system.SystemModel` around the producer, so a
     worker process -- which does not share the parent's session state
     under ``spawn``/``forkserver`` start methods -- prices with the
-    same calibration the result will be cached under.  ``fast`` pins
-    ``$REPRO_PETE_FAST`` in the worker before the first kernel is
-    measured, so pooled tasks run the same interpreter path as the
-    parent regardless of start method.
+    same calibration the result will be cached under.
     """
     from repro.harness.registry import get_spec
 
-    if fast is not None:
-        import os
-
-        os.environ["REPRO_PETE_FAST"] = "1" if fast else "0"
     spec = get_spec(kind, name)
     if calibration is None:
         return spec.payload()
@@ -267,7 +259,6 @@ class SweepEngine:
                  timeout_s: float = DEFAULT_TIMEOUT_S,
                  retries: int = DEFAULT_RETRIES,
                  ledger=None, calibration=None, compute=None,
-                 fast: bool | None = None,
                  mp_context: str | None = None) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -285,13 +276,11 @@ class SweepEngine:
             ledger = default_ledger()
         self.ledger = ledger
         self.calibration = calibration
-        self.fast = fast
         if compute is None:
             compute = _compute_payload
-            if calibration is not None or fast is not None:
+            if calibration is not None:
                 compute = functools.partial(_compute_payload,
-                                            calibration=calibration,
-                                            fast=fast)
+                                            calibration=calibration)
         self.compute = compute
 
     # -- public API ---------------------------------------------------------
@@ -363,8 +352,7 @@ class SweepEngine:
         kernels = list(kernels)
         if runner is None:
             runner = KernelRunner(ledger=self.ledger,
-                                  calibration=self.calibration,
-                                  fast=self.fast)
+                                  calibration=self.calibration)
         outcomes: list[TaskOutcome] = []
         with obs.span("sweep.lanes", tasks=str(len(kernels))):
             for name, k, lanes in kernels:
@@ -601,7 +589,6 @@ class SweepEngine:
                 "reaped": outcome.reaped,
                 "error": outcome.error,
                 "cached": self.cache is not None,
-                "fast": self.fast,
                 "compute_wall_s": payload.get("wall_s"),
                 "fastpath": outcome.fastpath,
             })

@@ -20,6 +20,7 @@ defaults), so old ledgers stay diffable forever.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import subprocess
@@ -34,8 +35,13 @@ _RECORD_KINDS = ("bench", "profile", "scorecard", "gate", "sweep",
                  "analysis", "telemetry", "lanes", "serve")
 
 
-def _git(args: list[str], repo_dir: str | None) -> str | None:
-    """Run one git query; ``None`` when git/.git is unavailable."""
+@functools.lru_cache(maxsize=None)
+def _git(args: tuple[str, ...], repo_dir: str | None) -> str | None:
+    """Run one git query; ``None`` when git/.git is unavailable.
+
+    Answered once per process and repo dir: a record describes the
+    code the process loaded, and a sweep writes one record per task.
+    """
     try:
         out = subprocess.run(
             ["git", *args],
@@ -48,7 +54,7 @@ def _git(args: list[str], repo_dir: str | None) -> str | None:
 
 def git_sha(repo_dir: str | None = None) -> str:
     """Current commit hash, or ``"unknown"`` outside a git checkout."""
-    out = _git(["rev-parse", "HEAD"], repo_dir)
+    out = _git(("rev-parse", "HEAD"), repo_dir)
     sha = (out or "").strip()
     return sha or "unknown"
 
@@ -60,7 +66,7 @@ def git_dirty(repo_dir: str | None = None) -> bool | None:
     a git checkout (a record can then only be tied to ``git_sha ==
     "unknown"`` anyway).
     """
-    out = _git(["status", "--porcelain"], repo_dir)
+    out = _git(("status", "--porcelain"), repo_dir)
     if out is None:
         return None
     return bool(out.strip())

@@ -9,6 +9,8 @@ no other module under ``src/`` may import or reference them.
 import pathlib
 import re
 
+import pytest
+
 import repro.api as api
 
 EXPECTED_API = [
@@ -83,3 +85,18 @@ def test_runall_shims_are_gone():
         except AttributeError:
             continue
         raise AssertionError(f"runall.{name} still resolves")
+
+
+def test_fast_knob_is_gone():
+    """Every run is block-threaded, so the removed ``fast=`` keyword
+    must fail loudly instead of being silently ignored."""
+    from repro.kernels.runner import KernelRunner
+    from repro.serve.service import ServeConfig
+    from repro.sweep.engine import SweepEngine
+
+    with pytest.raises(TypeError):
+        api.compute_artifact("7.5", fast=True)
+    for build in (KernelRunner, SweepEngine, ServeConfig,
+                  api.BatchRequest.artifacts):
+        with pytest.raises(TypeError):
+            build(fast=True)

@@ -1,8 +1,40 @@
-"""runall --fast byte-identity and --stats-json machine stats."""
+"""Block-threaded vs reference byte-identity and --stats-json stats."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 from repro.harness.runall import main
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+
+#: One ``runall --only 7.5`` pass in a fresh process (so its kernel
+#: memos start empty and every measurement simulates), counting kernel
+#: launches; argv[1] == "reference" runs each kernel on the reference
+#: interpreter alone.
+_PASS = textwrap.dedent("""
+    import sys
+    from repro.harness.runall import main
+    from repro.kernels.runner import KernelRunner
+    from repro.pete.diffexec import run_reference
+
+    block_threaded = KernelRunner._launch
+    launches = []
+
+    def launch(self, cpu, entry):
+        launches.append(entry)
+        if sys.argv[1] == "reference":
+            return run_reference(cpu, entry)
+        return block_threaded(self, cpu, entry)
+
+    KernelRunner._launch = launch
+    status = main(["--only", "7.5", "--out", sys.argv[2], "--csv",
+                   "--no-ledger"])
+    print(f"launches={len(launches)}", file=sys.stderr)
+    sys.exit(status)
+""")
 
 
 def _read_dir(d):
@@ -27,14 +59,23 @@ def test_stats_json_cold_then_warm(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_fast_flag_produces_identical_artifacts(tmp_path, capsys,
-                                                monkeypatch):
-    monkeypatch.delenv("REPRO_PETE_FAST", raising=False)
-    ref, fast = tmp_path / "ref", tmp_path / "fast"
-    assert main(["--only", "7.5", "--out", str(ref), "--csv",
-                 "--no-ledger"]) == 0
-    ref_out = capsys.readouterr().out
-    assert main(["--only", "7.5", "--out", str(fast), "--csv",
-                 "--no-ledger", "--fast"]) == 0
-    assert capsys.readouterr().out == ref_out
-    assert _read_dir(fast) == _read_dir(ref)
+def test_block_threaded_artifacts_match_reference_bytes(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(SRC), env.get("PYTHONPATH")) if p)
+    passes = {
+        mode: subprocess.Popen(
+            [sys.executable, "-c", _PASS, mode, str(tmp_path / mode)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True)
+        for mode in ("block", "reference")
+    }
+    results = {mode: proc.communicate() + (proc.returncode,)
+               for mode, proc in passes.items()}
+    for mode, (_, err, status) in results.items():
+        assert status == 0, f"{mode} pass failed:\n{err}"
+        launches = int(err.rsplit("launches=", 1)[1].split()[0])
+        assert launches > 0, f"the {mode} pass simulated nothing"
+    assert results["block"][0] == results["reference"][0]
+    assert _read_dir(tmp_path / "block") == \
+        _read_dir(tmp_path / "reference")

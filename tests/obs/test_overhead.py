@@ -5,10 +5,10 @@ the obs instrumentation contract is ``tel = obs.get()`` plus
 ``if tel is not None:`` blocks (and the always-on ``RUNTIME_STATS``
 cold-path counters).  This test reconstructs the pre-telemetry fast
 path by stripping exactly those lines from the live source of
-``Fastpath._compile_at`` and ``Pete._run_fast``, verifies the replica
-is cycle-exact, then checks instrumented warm fast-path throughput
-(instruction-weighted, Table 7.1 GF(p) subset, obs disabled) stays
-within 5% of the replica.
+``Fastpath._compile_at`` and the block-threaded ``Pete.run`` loop,
+verifies the replica is cycle-exact, then checks instrumented warm
+fast-path throughput (instruction-weighted, Table 7.1 GF(p) subset,
+obs disabled) stays within 5% of the replica.
 """
 
 import inspect
@@ -78,12 +78,12 @@ class StrippedFastpath(Fastpath):
     _compile_at = _stripped(Fastpath._compile_at, fastpath_module)
 
 
-_stripped_run_fast = _stripped(Pete._run_fast, cpu_module)
+_stripped_run = _stripped(Pete.run, cpu_module)
 
 
 def _stripped_source_is_really_different():
     live = (inspect.getsource(Fastpath._compile_at)
-            + inspect.getsource(Pete._run_fast))
+            + inspect.getsource(Pete.run))
     replica = "".join(_STRIPPED_SOURCES.values())
     return ("obs.get" in live and "note_deopt" in live
             and "obs.get" not in replica and "note_deopt" not in replica
@@ -94,12 +94,12 @@ def _fresh(cpu, stripped: bool):
     clone = cpu.clone()
     if stripped:
         clone.fastpath = StrippedFastpath(clone)
-        clone._run_fast = types.MethodType(_stripped_run_fast, clone)
+        clone.run = types.MethodType(_stripped_run, clone)
     return clone
 
 
-def _run_fast(cpu, entry, stripped: bool):
-    return _fresh(cpu, stripped).run(entry, fast=True)
+def _run(cpu, entry, stripped: bool):
+    return _fresh(cpu, stripped).run(entry)
 
 
 def _time_warm(cpu, entry, stripped: bool) -> float:
@@ -109,7 +109,7 @@ def _time_warm(cpu, entry, stripped: bool) -> float:
         clones = [_fresh(cpu, stripped) for _ in range(INNER)]
         t0 = time.perf_counter()
         for clone in clones:
-            clone.run(entry, fast=True)
+            clone.run(entry)
         best = min(best, (time.perf_counter() - t0) / INNER)
     return best
 
@@ -129,10 +129,10 @@ def test_stripped_replica_is_cycle_exact():
     for name, k, cpu, entry in _prepared():
         fastpath_module._CODE_CACHE.clear()
         fastpath_module._BLOCK_MAPS.clear()
-        stripped = _run_fast(cpu, entry, stripped=True)
+        stripped = _run(cpu, entry, stripped=True)
         fastpath_module._CODE_CACHE.clear()
         fastpath_module._BLOCK_MAPS.clear()
-        instrumented = _run_fast(cpu, entry, stripped=False)
+        instrumented = _run(cpu, entry, stripped=False)
         assert stripped == instrumented, f"{name}:{k} diverged"
 
 
@@ -140,8 +140,8 @@ def test_obs_disabled_overhead_within_bound():
     prepared = _prepared()
     # warm the shared block maps so both variants hit compiled closures
     for _, _, cpu, entry in prepared:
-        _run_fast(cpu, entry, stripped=False)
-        _run_fast(cpu, entry, stripped=True)
+        _run(cpu, entry, stripped=False)
+        _run(cpu, entry, stripped=True)
 
     # interleave and retry whole attempts (PR 2 pattern) so transient
     # machine load cannot fail a near-zero expected overhead
@@ -152,7 +152,7 @@ def test_obs_disabled_overhead_within_bound():
         for name, k, cpu, entry in prepared:
             base = _time_warm(cpu, entry, stripped=True)
             instrumented = _time_warm(cpu, entry, stripped=False)
-            instr = _run_fast(cpu, entry, stripped=False).instructions
+            instr = _run(cpu, entry, stripped=False).instructions
             total_instr += instr
             acc += instr * (instrumented / base)
         weighted = min(weighted, acc / total_instr)

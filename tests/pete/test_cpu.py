@@ -1,8 +1,13 @@
-"""Pete's timing interpreter: semantics and pipeline cycle effects."""
+"""Pete's timing interpreter: semantics and pipeline cycle effects.
+
+The subject here is the reference interpreter, so every program runs
+through :func:`repro.pete.diffexec.run_reference`.
+"""
 
 import pytest
 
 from repro.pete import Pete, assemble
+from repro.pete.diffexec import run_reference
 from repro.pete.icache import ICacheConfig
 from repro.pete.memory import RAM_BASE
 
@@ -15,7 +20,7 @@ def run_program(source, extensions=False, binary_extensions=False,
     cpu.load(program)
     for name, value in (regs or {}).items():
         cpu.set_reg(name, value)
-    stats = cpu.run(program.address_of("main"))
+    stats = run_reference(cpu, program.address_of("main"))
     return cpu, stats
 
 
@@ -269,7 +274,7 @@ def test_runaway_program_detected():
     cpu = Pete()
     cpu.load(program)
     with pytest.raises(RuntimeError):
-        cpu.run(0, max_cycles=500)
+        run_reference(cpu, 0, max_cycles=500)
 
 
 def test_extensions_gated():

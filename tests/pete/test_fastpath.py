@@ -5,8 +5,7 @@ import random
 import pytest
 
 from repro.pete import Pete, assemble
-from repro.pete.diffexec import compare_state, lockstep, step_unit
-from repro.pete.fastpath import Fastpath
+from repro.pete.diffexec import compare_state, lockstep, run_reference
 from repro.pete.icache import ICacheConfig
 from repro.trace.bus import CollectingSink, TraceBus
 from repro.trace.events import RETIRE
@@ -51,8 +50,8 @@ def _run_both(source, **kwargs):
     cpu, program = _fresh(source, **kwargs)
     ref = cpu.clone()
     entry = program.address_of("main")
-    ref.run(entry)
-    cpu.run(entry, fast=True)
+    run_reference(ref, entry)
+    cpu.run(entry)
     return ref, cpu
 
 
@@ -99,7 +98,7 @@ def test_incoming_load_use_across_block_entry():
 def test_invalidation_on_rom_reload():
     cpu, program = _fresh(STRAIGHT_LINE)
     entry = program.address_of("main")
-    cpu.run(entry, fast=True)
+    cpu.run(entry)
     first = cpu.fastpath
 
     replacement = assemble("""
@@ -112,8 +111,8 @@ def test_invalidation_on_rom_reload():
     """)
     cpu.load(replacement)
     ref = cpu.clone()
-    ref.run(replacement.address_of("main"))
-    cpu.run(replacement.address_of("main"), fast=True)
+    run_reference(ref, replacement.address_of("main"))
+    cpu.run(replacement.address_of("main"))
     assert compare_state(ref, cpu) is None
     assert cpu.get_reg("t3") == 198
     assert cpu.fastpath is first, "the engine persists across reloads"
@@ -122,7 +121,7 @@ def test_invalidation_on_rom_reload():
 def test_invalidation_on_flush_decoded():
     cpu, program = _fresh(STRAIGHT_LINE)
     entry = program.address_of("main")
-    cpu.run(entry, fast=True)
+    cpu.run(entry)
 
     # patch one word in ROM behind the engine's back: li $t1, 9 -> 13
     patched = assemble(STRAIGHT_LINE.replace("li   $t1, 9",
@@ -131,7 +130,7 @@ def test_invalidation_on_flush_decoded():
         w.to_bytes(4, "little") for w in patched.words))
     cpu.flush_decoded()
 
-    cpu.run(entry, fast=True)
+    cpu.run(entry)
     assert cpu.get_reg("t2") == 20, "stale superblock survived the flush"
     assert cpu.get_reg("t4") == 7 * 13
 
@@ -139,7 +138,7 @@ def test_invalidation_on_flush_decoded():
 def test_config_change_rebinds_block_map():
     cpu, program = _fresh(LOOP)
     entry = program.address_of("main")
-    cpu.run(entry, fast=True)
+    cpu.run(entry)
     fastpath = cpu.fastpath
     key_before = fastpath._key
 
@@ -166,20 +165,17 @@ def test_deopt_under_mid_run_trace_attach():
     golden = cpu.clone()
     golden_sink = CollectingSink()
     golden.attach_tracer(TraceBus([golden_sink]))
-    golden.begin(entry)
-    while golden.step_instruction():
-        pass
+    run_reference(golden, entry)
 
-    # fast run, tracer attached after the first few superblocks
-    fastpath = Fastpath(cpu)
-    cpu.fastpath = fastpath
+    # block-threaded run, tracer attached after the first few units
     cpu.begin(entry)
     sink = CollectingSink()
     units = 0
     alive, blocks = True, 0
     while alive:
-        alive, was_block = step_unit(cpu, fastpath)
-        blocks += was_block
+        before = cpu.stats.instructions
+        alive = cpu.step_unit()
+        blocks += cpu.stats.instructions - before > 1
         units += 1
         if units == 4:
             attach_cycle = cpu.cycle
@@ -203,11 +199,11 @@ def test_block_map_shared_across_clones():
     fp._CODE_CACHE.clear()
     cpu, program = _fresh(LOOP)
     entry = program.address_of("main")
-    cpu.run(entry, fast=True)
+    cpu.run(entry)
     assert cpu.fastpath.compiled > 0
 
     other = cpu.clone()
-    other.run(entry, fast=True)
+    other.run(entry)
     assert other.fastpath.compiled == 0, \
         "a clone re-running the same program must reuse the shared map"
 
@@ -224,7 +220,7 @@ def test_max_cycles_still_enforced():
         halt
     """)
     with pytest.raises(RuntimeError):
-        cpu.run(program.address_of("main"), max_cycles=2000, fast=True)
+        cpu.run(program.address_of("main"), max_cycles=2000)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -9,7 +9,12 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.kernels.runner import KernelRunner
-from repro.pete.diffexec import diff_kernel_lanes, lockstep_lanes
+from repro.pete import fastpath, lanes
+from repro.pete.diffexec import (
+    diff_kernel_lanes,
+    lockstep_lanes,
+    run_reference,
+)
 from repro.pete.lanes import LaneEngine
 
 
@@ -67,6 +72,37 @@ def test_divergence_counters_expose_fallback_traffic():
     assert all(eng.lane_done(i) for i in range(24))
 
 
+def test_second_engine_over_a_run_program_reuses_its_blocks(monkeypatch):
+    """Block maps belong to the program image: a second engine over a
+    program an earlier engine ran -- divergent lanes, their scalar
+    bridges and delay slots included -- neither discovers nor
+    compiles."""
+    runner = KernelRunner(cache={})
+    cores, entry = runner.prepare_lanes("scalar_daa", 16, 24)
+    twins = [core.clone() for core in cores]
+    first = LaneEngine(cores).run(entry)
+    assert first.demotions > 0
+
+    discovered = []
+
+    def spy(real):
+        def discover(decode, pc, *args, **kwargs):
+            discovered.append(pc)
+            return real(decode, pc, *args, **kwargs)
+        return discover
+
+    monkeypatch.setattr(lanes, "discover", spy(lanes.discover))
+    monkeypatch.setattr(fastpath, "discover", spy(fastpath.discover))
+    compiled = (lanes.RUNTIME_STATS["lane_blocks_compiled"],
+                fastpath.RUNTIME_STATS["blocks_compiled"])
+    second = LaneEngine(twins).run(entry)
+    assert discovered == []
+    assert compiled == (lanes.RUNTIME_STATS["lane_blocks_compiled"],
+                        fastpath.RUNTIME_STATS["blocks_compiled"])
+    for i in range(len(twins)):
+        assert second.lane_stats(i) == first.lane_stats(i)
+
+
 def test_lanes_match_scalar_reference_stats_exactly():
     """Per-lane cycles/instructions out of the engine equal a scalar
     reference run of the same prepared core."""
@@ -75,7 +111,7 @@ def test_lanes_match_scalar_reference_stats_exactly():
     refs = [core.clone() for core in cores]
     eng = LaneEngine(cores).run(entry)
     for i, ref in enumerate(refs):
-        stats = ref.run(entry)
+        stats = run_reference(ref, entry)
         assert int(eng.lane_cycle(i)) == stats.cycles
         assert int(eng.lane_instructions(i)) == stats.instructions
         assert _lane_stats(eng, i)["stall_cycles"] == stats.stall_cycles
@@ -86,7 +122,7 @@ def test_single_lane_batch_works():
     cores, entry = runner.prepare_lanes("mp_add", 8, 1)
     ref = cores[0].clone()
     eng = LaneEngine(cores).run(entry)
-    assert int(eng.lane_cycle(0)) == ref.run(entry).cycles
+    assert int(eng.lane_cycle(0)) == run_reference(ref, entry).cycles
 
 
 # ---------------------------------------------------------------------------
@@ -111,5 +147,5 @@ def test_measure_batch_matches_scalar_measure():
     refs = [core.clone() for core in cores]
     batch = KernelRunner(cache={})  # fresh RNG: same lane operands
     result = batch.measure_batch("ps_mul_ext", 8, lanes=4)
-    expected = tuple(ref.run(entry).cycles for ref in refs)
+    expected = tuple(run_reference(ref, entry).cycles for ref in refs)
     assert result.cycles == expected

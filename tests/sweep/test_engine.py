@@ -260,3 +260,31 @@ def test_failed_task_record_carries_the_error():
     (record,) = ledger.records
     assert record["data"]["status"] == "failed"
     assert "injected pool failure" in record["data"]["error"]
+
+
+def test_warm_sweep_asks_git_once_per_process(tmp_path, monkeypatch):
+    """Every hit still writes a record carrying ``git_sha`` and
+    ``git_dirty``, but a warm sweep of N hits must not fork git per
+    record: both queries are answered once per process."""
+    import subprocess
+
+    from repro.regress.ledger import NullLedger
+    from repro.trace import record
+
+    specs = _specs("7.1", "7.2", "7.3", "7.4", "7.5")
+    cache = ResultCache(tmp_path)
+    run_sweep(specs, cache=cache, ledger=ListLedger(),
+              compute=pool_compute)
+
+    started = []
+
+    class CountingPopen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            started.append(args[0] if args else kwargs.get("args"))
+            super().__init__(*args, **kwargs)
+
+    record._git.cache_clear()
+    monkeypatch.setattr(subprocess, "Popen", CountingPopen)
+    warm = run_sweep(specs, cache=cache, ledger=NullLedger())
+    assert warm.hits == len(specs)
+    assert len(started) <= 2, started

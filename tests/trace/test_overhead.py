@@ -4,7 +4,8 @@ The instrumentation contract is one ``if self.tracer is not None:``
 branch per site.  This test reconstructs the pre-instrumentation hot
 loop by stripping exactly those blocks from the live source of Pete's
 hot methods, verifies the stripped replica is cycle-exact, then checks
-the instrumented simulator (tracer off) stays within 10% of the
+the instrumented reference interpreter (tracer off, run through
+:func:`repro.pete.diffexec.run_reference`) stays within 10% of the
 replica's wall-clock.
 """
 
@@ -15,6 +16,7 @@ import time
 from repro.pete import assemble
 from repro.pete import cpu as cpu_module
 from repro.pete.cpu import Pete
+from repro.pete.diffexec import run_reference
 from repro.pete.memory import RAM_BASE
 
 #: acceptance bound: <= 10% overhead with tracing off
@@ -72,7 +74,7 @@ for _name in ("_fetch", "_wait_muldiv", "_branch", "_step"):
 def _run(cls, program):
     cpu = cls()
     cpu.load(program)
-    return cpu.run(0)
+    return run_reference(cpu, 0)
 
 
 def _best_time(cls, program, rounds):
