@@ -9,13 +9,24 @@ D = 3 energy-optimal (Kumar/Wollinger/Paar), and the paper adopts that.
 A hardwired squarer (Fig. 5.13) computes the bit-interleave + reduction in
 a single cycle; its XOR-tree structure is derived here from the reduction
 polynomial so that its gate count can feed the energy model.
+
+The units' *values* come from the functional field arithmetic
+(:mod:`repro.fields`): Algorithm 8 accumulates B_i * a * x^(Di) mod f(x)
+and reduces at the end, so it returns the reduced product of a and the
+multiplier bits it scans, whatever order the hardware adds them in.  Its
+*cost* comes from :func:`digit_serial_cycles`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.fields.nist import BINARY_TAIL_EXPONENTS, NIST_BINARY_POLYS
+from repro.fields.inversion import _poly_mul, _poly_sqr
+from repro.fields.nist import (
+    BINARY_TAIL_EXPONENTS,
+    NIST_BINARY_POLYS,
+    reduce_binary,
+)
 
 
 @dataclass(frozen=True)
@@ -28,61 +39,25 @@ def digit_serial_mul(a: int, b: int, m: int, digit: int = 3
                      ) -> DigitSerialResult:
     """Algorithm 8: c = a*b mod f(x), one digit of b per cycle.
 
-    Cycle count: ceil(m/D) iterations plus one final-reduction cycle plus
-    one setup cycle.
+    The unit scans ceil(m/D) digits, so multiplier bits at and above
+    ceil(m/D)*D never enter the product.
     """
     if m not in NIST_BINARY_POLYS:
         raise KeyError(f"no NIST binary field of degree {m}")
-    f_poly = NIST_BINARY_POLYS[m]
-    tail = BINARY_TAIL_EXPONENTS[m]
-    n_digits = -(-m // digit)
-    mask_digit = (1 << digit) - 1
-    c = 0
-    shifted_a = a
-    for i in range(n_digits):
-        b_digit = (b >> (digit * i)) & mask_digit
-        # B_i * a(x): digit-by-multiplicand partial product
-        for bit in range(digit):
-            if (b_digit >> bit) & 1:
-                c ^= shifted_a << bit
-        # a(x) <- a(x) * x^D mod f(x): D single-bit reduction steps
-        shifted_a <<= digit
-        while shifted_a >> m:
-            high = shifted_a >> m
-            shifted_a &= (1 << m) - 1
-            for e in tail:
-                shifted_a ^= high << e
-    # final reduction of the m + D - 1 bit accumulator
-    while c >> m:
-        high = c >> m
-        c &= (1 << m) - 1
-        for e in tail:
-            c ^= high << e
-    return DigitSerialResult(c, n_digits + 2)
+    scanned = (1 << (-(-m // digit) * digit)) - 1
+    return DigitSerialResult(reduce_binary(_poly_mul(a, b & scanned), m),
+                             digit_serial_cycles(m, digit))
 
 
 def digit_serial_cycles(m: int, digit: int) -> int:
-    """Cycles for one multiplication without computing a product."""
+    """Cycles for one multiplication: ceil(m/D) iterations plus one
+    final-reduction cycle plus one setup cycle."""
     return -(-m // digit) + 2
 
 
 def hardwired_square(a: int, m: int) -> int:
     """Single-cycle squaring: interleave zeros, then fold (Fig. 5.13)."""
-    tail = BINARY_TAIL_EXPONENTS[m]
-    expanded = 0
-    i = 0
-    value = a
-    while value:
-        if value & 1:
-            expanded |= 1 << (2 * i)
-        value >>= 1
-        i += 1
-    while expanded >> m:
-        high = expanded >> m
-        expanded &= (1 << m) - 1
-        for e in tail:
-            expanded ^= high << e
-    return expanded
+    return reduce_binary(_poly_sqr(a), m)
 
 
 def squarer_xor_gates(m: int) -> int:

@@ -2,8 +2,9 @@
 
 Two field families, matching the paper's Section 2.1:
 
-* :class:`~repro.fields.prime.PrimeField` -- GF(p) with the five NIST
-  generalized-Mersenne primes and their fast-reduction routines.
+* :class:`~repro.fields.prime.PrimeField` -- GF(p) over the five NIST
+  generalized-Mersenne primes (their integer fast-reduction routines are
+  in :mod:`repro.fields.nist`; products reduce with one modulo).
 * :class:`~repro.fields.binary.BinaryField` -- GF(2^m) with the five NIST
   trinomials/pentanomials and their fast-reduction routines.
 

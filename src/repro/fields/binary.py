@@ -2,9 +2,10 @@
 
 Elements are Python ints interpreted as GF(2)[x] polynomials (bit i is the
 coefficient of x^i).  Addition is XOR ("carry-less arithmetic", paper
-Section 2.1.4); multiplication is polynomial multiplication followed by
-reduction modulo the NIST trinomial/pentanomial; squaring is the linear
-bit-interleave operation (Section 4.2.3).
+Section 2.1.4); multiplication is polynomial multiplication (a width-4
+comb) followed by reduction modulo the NIST trinomial/pentanomial;
+squaring is the linear bit-interleave operation (Section 4.2.3), done a
+byte at a time through the 8-bit table.
 """
 
 from __future__ import annotations

@@ -183,24 +183,55 @@ def batch_inverse(field, values: list[int]) -> list[int]:
     return out
 
 
+def _square_table() -> tuple[int, ...]:
+    """Squares of the 256 bytes: the square of 2q + r is the square of q
+    shifted up two places, plus r."""
+    table = [0]
+    for byte in range(1, 256):
+        table.append(table[byte >> 1] << 2 | byte & 1)
+    return tuple(table)
+
+
+#: The 8-bit squaring table of the paper's software path (Section 4.2.3):
+#: each byte's 16-bit square.  :mod:`repro.mp.binary_sqr` re-exports it.
+SQUARE_TABLE_8BIT: tuple[int, ...] = _square_table()
+
+#: The same squares as 2-byte little-endian strings, so a whole operand
+#: squares in one ``bytes`` join.
+_SQUARE_BYTES: tuple[bytes, ...] = tuple(
+    square.to_bytes(2, "little") for square in SQUARE_TABLE_8BIT)
+
+#: Maps each hex digit to its 4-bit value (the comb's table index).
+_NIBBLES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+
+
 def _poly_mul(a: int, b: int) -> int:
-    """Carry-less (polynomial) multiplication of two GF(2)[x] elements."""
+    """Carry-less (polynomial) multiplication of two GF(2)[x] elements.
+
+    A width-4 comb (paper Algorithm 6, the window the paper picks): a
+    16-entry table of u(x)*a(x) for the longer operand, then the shorter
+    one is scanned a hex digit at a time from the top.
+    """
+    if a.bit_length() < b.bit_length():
+        a, b = b, a
+    a2 = a << 1
+    a3 = a2 ^ a
+    a4 = a << 2
+    a5 = a4 ^ a
+    a6 = a4 ^ a2
+    a7 = a4 ^ a3
+    a8 = a << 3
+    table = (0, a, a2, a3, a4, a5, a6, a7,
+             a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a8 ^ a4, a8 ^ a5, a8 ^ a6, a8 ^ a7)
     result = 0
-    while b:
-        if b & 1:
-            result ^= a
-        a <<= 1
-        b >>= 1
+    for u in f"{b:x}".encode().translate(_NIBBLES):
+        result = (result << 4) ^ table[u]
     return result
 
 
 def _poly_sqr(a: int) -> int:
-    """Polynomial squaring: interleave zero bits (paper Section 4.2.3)."""
-    result = 0
-    i = 0
-    while a:
-        if a & 1:
-            result |= 1 << (2 * i)
-        a >>= 1
-        i += 1
-    return result
+    """Polynomial squaring: interleave zero bits (paper Section 4.2.3),
+    a byte at a time through the 8-bit table."""
+    octets = a.to_bytes((a.bit_length() + 7) // 8, "little")
+    return int.from_bytes(
+        b"".join([_SQUARE_BYTES[byte] for byte in octets]), "little")

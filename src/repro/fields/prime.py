@@ -1,14 +1,16 @@
-"""Prime fields GF(p) with NIST fast reduction.
+"""Prime fields GF(p).
 
 A :class:`PrimeField` performs mathematically exact field arithmetic on
 Python ints while counting operations through its
-:class:`~repro.fields.counters.OpCounter`.  The reduction path mirrors the
-paper's software suite: products are reduced with the per-prime NIST fast
-reduction routine when one exists, otherwise with a plain modulo.
+:class:`~repro.fields.counters.OpCounter`.  Products are reduced with one
+modulo: on a Python int that is faster than any of the NIST folds except
+P-521's, and the value is the same.
 
-Word-level (limb) implementations of the same multiplication and reduction
-algorithms -- the ones whose cycle costs the Pete simulator measures -- live
-in :mod:`repro.mp` and are cross-validated against this class.
+The NIST structure lives where it is priced: the word-level (limb)
+multiplication and fast reduction in :mod:`repro.mp` (cross-validated
+against this class and against the integer reducers in
+:mod:`repro.fields.nist`) and the Pete kernels whose cycles the simulator
+measures.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from repro.fields.inversion import (
     binary_euclid_inverse,
     fermat_inverse,
 )
-from repro.fields.nist import NIST_PRIMES, PRIME_REDUCERS
+from repro.fields.nist import NIST_PRIMES
 
 
 class PrimeField:
@@ -41,9 +43,6 @@ class PrimeField:
         self.bits = p.bit_length()
         self.name = name or f"GF({p})"
         self.counter = OpCounter()
-        self._reduce = PRIME_REDUCERS.get(self.bits)
-        if self._reduce is not None and NIST_PRIMES.get(self.bits) != p:
-            self._reduce = None
 
     # -- construction -----------------------------------------------------
 
@@ -70,9 +69,7 @@ class PrimeField:
         return 0 <= value < self.p
 
     def reduce_product(self, c: int) -> int:
-        """Reduce a double-length product (NIST fast reduction if known)."""
-        if self._reduce is not None:
-            return self._reduce(c)
+        """Reduce a double-length product into [0, p)."""
         return c % self.p
 
     # -- arithmetic ---------------------------------------------------------

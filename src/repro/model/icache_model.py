@@ -12,7 +12,9 @@ We build a synthetic instruction-address trace with that structure and
 run it through the *real* direct-mapped cache + stream-buffer simulator
 (:mod:`repro.pete.icache`).  The trace generator is the substitution
 documented in DESIGN.md; the cache, prefetcher, fill traffic and miss
-penalties are simulated, not modeled.  The resulting miss profile
+penalties are simulated, not modeled.  The trace is generated as line
+runs, and only the first fetch of each run goes through the cache (see
+:func:`replay_line_runs`).  The resulting miss profile
 reproduces the paper's qualitative findings: the big miss-rate drop
 arrives at 4 KB (the working-set knee), the drop beyond 4 KB is small
 (cold-code floor), and prefetch coverage is high for the large caches'
@@ -24,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.pete.icache import ICache, ICacheConfig
 from repro.pete.stats import CoreStats
@@ -95,26 +97,26 @@ def _function_bases() -> tuple[dict[str, int], int]:
     return bases, addr
 
 
-def _body(base: int, size: int, strided: bool) -> Iterator[int]:
-    """One execution of a function body: line-granular sweep, optionally
-    in the strided (branchy) order."""
+def _body(base: int, size: int, strided: bool) -> list[tuple[int, int]]:
+    """One execution of a function body as line runs, optionally in the
+    strided (branchy) order."""
     lines = list(range(base, base + size, 16))
     order = lines[::2] + lines[1::2] if strided else lines
-    for line in order:
-        for addr in range(line, min(line + 16, base + size), 4):
-            yield addr
+    end = base + size
+    return [(line, -(-(min(line + 16, end) - line) // 4)) for line in order]
 
 
-def ecdsa_instruction_trace(point_ops: int = 150,
-                            seed: int = 7) -> Iterator[int]:
-    """Instruction addresses for ``point_ops`` point operations of an
-    ECDSA scalar multiplication."""
+def ecdsa_line_runs(point_ops: int = 150,
+                    seed: int = 7) -> Iterator[tuple[int, int]]:
+    """The instruction fetches of ``point_ops`` point operations of an
+    ECDSA scalar multiplication, as line runs: (first address, fetch
+    count) for each stretch of consecutive words inside one 16-byte
+    line."""
     rng = random.Random(seed)
     bases, cold_base = _function_bases()
     sizes = dict(HOT_LAYOUT)
-
-    def run(name: str) -> Iterator[int]:
-        return _body(bases[name], sizes[name], name in STRIDED_FUNCTIONS)
+    bodies = {name: _body(bases[name], sizes[name], name in STRIDED_FUNCTIONS)
+              for name in sizes}
 
     for op in range(point_ops):
         point = "point_add" if op % 3 == 0 else "point_double"
@@ -123,19 +125,46 @@ def ecdsa_instruction_trace(point_ops: int = 150,
         for i in range(9):
             # the point routine's body interleaves with its field calls
             yield from _body(pbase + chunk * i, chunk, False)
-            yield from run("field_mul")
-            yield from run("field_reduce")
+            yield from bodies["field_mul"]
+            yield from bodies["field_reduce"]
             if i < 7:
-                yield from run("field_addsub")
-        yield from run("scalar_loop")
+                yield from bodies["field_addsub"]
+        yield from bodies["scalar_loop"]
         if rng.random() < 0.35:
-            yield from run("misc_runtime")
+            yield from bodies["misc_runtime"]
         if rng.random() < 0.02:
-            yield from run("order_arith")
+            yield from bodies["order_arith"]
         if rng.random() < COLD_PROBABILITY:
             offset = cold_base + 16 * rng.randrange(COLD_REGION_BYTES // 16)
-            for addr in range(offset, offset + COLD_CHUNK_BYTES, 4):
-                yield addr
+            yield from _body(offset, COLD_CHUNK_BYTES, False)
+
+
+def ecdsa_instruction_trace(point_ops: int = 150,
+                            seed: int = 7) -> Iterator[int]:
+    """Instruction addresses for ``point_ops`` point operations of an
+    ECDSA scalar multiplication: :func:`ecdsa_line_runs`, one address
+    per fetch."""
+    for first, count in ecdsa_line_runs(point_ops, seed):
+        yield from range(first, first + 4 * count, 4)
+
+
+def replay_line_runs(cache: ICache,
+                     runs: Iterable[tuple[int, int]]) -> int:
+    """Fetch line runs through ``cache``; returns the stall cycles.
+
+    Only a run's first fetch goes through :meth:`ICache.access`.  The
+    rest of the run are counted as hits, which is exact: in a
+    direct-mapped cache with a single-entry stream buffer, re-fetching
+    the line just accessed is a hit (the access left its tag in place)
+    and changes no state.
+    """
+    stalls = repeats = 0
+    for first, count in runs:
+        stalls += cache.access(first)
+        repeats += count - 1
+    cache.stats.icache_accesses += repeats
+    cache.stats.icache_hits += repeats
+    return stalls
 
 
 @lru_cache(maxsize=None)
@@ -144,10 +173,8 @@ def cache_study(size_bytes: int, prefetch: bool,
     """Run the synthetic ECDSA trace through the real cache simulator."""
     config = ICacheConfig(size_bytes=size_bytes, prefetch=prefetch)
     stats = CoreStats()
-    cache = ICache(config, stats)
-    extra_stalls = 0
-    for addr in ecdsa_instruction_trace(point_ops):
-        extra_stalls += cache.access(addr)
+    extra_stalls = replay_line_runs(ICache(config, stats),
+                                    ecdsa_line_runs(point_ops))
     return CacheStudyResult(
         config=config,
         accesses=stats.icache_accesses,

@@ -8,21 +8,12 @@ ISA-extended system instead squares 32 bits at a time with MULGF2(a, a).
 
 from __future__ import annotations
 
+# SQUARE_TABLE_8BIT is the baseline software's precomputed squaring table:
+# 256 entries of 16-bit squares, scanned 8 bits at a time (costs 512 B of
+# RAM).  repro.fields squares through the same table, so it is defined
+# there (repro.mp imports repro.fields, never the reverse).
+from repro.fields.inversion import SQUARE_TABLE_8BIT
 from repro.mp.words import word_mask
-
-
-def _expand8(byte: int) -> int:
-    """Interleave a zero bit after each of the 8 input bits."""
-    out = 0
-    for i in range(8):
-        if (byte >> i) & 1:
-            out |= 1 << (2 * i)
-    return out
-
-
-#: The baseline software's precomputed squaring table: 256 entries of
-#: 16-bit squares, scanned 8 bits at a time (costs 512 B of RAM).
-SQUARE_TABLE_8BIT: tuple[int, ...] = tuple(_expand8(b) for b in range(256))
 
 
 def binary_square_words(a: list[int], w: int = 32) -> list[int]:

@@ -10,6 +10,10 @@ from repro.accel.digit_serial import (
     squarer_xor_gates,
 )
 from repro.fields.binary import BinaryField
+from repro.fields.nist import NIST_BINARY_POLYS
+from tests.oracles import algorithm8_mul, fig513_square
+
+ALL_M = sorted(NIST_BINARY_POLYS)
 
 
 @pytest.fixture
@@ -30,6 +34,36 @@ def test_digit_serial_matches_field(field, rng):
             result = digit_serial_mul(a, b, 163, digit)
             assert result.value == field.mul(a, b)
             assert result.cycles == digit_serial_cycles(163, digit)
+
+
+@pytest.mark.parametrize("m", ALL_M)
+@pytest.mark.parametrize("digit", [1, 2, 3, 4, 8])
+def test_digit_serial_matches_algorithm8(m, digit, rng):
+    """Values and cycles equal the cycle-by-cycle loop, including a
+    multiplier with bits above the ceil(m/D)*D the unit scans and a
+    multiplicand of at least 2^m."""
+    scanned = -(-m // digit) * digit
+    operands = [(rng.getrandbits(m), rng.getrandbits(m)) for _ in range(4)]
+    operands += [
+        (rng.getrandbits(m), rng.getrandbits(m + 12)),
+        (rng.getrandbits(m), (1 << scanned) | (1 << (scanned + 5))),
+        ((1 << m) | rng.getrandbits(m), rng.getrandbits(m)),
+        (rng.getrandbits(2 * m), rng.getrandbits(2 * m)),
+        (0, rng.getrandbits(m)),
+        ((1 << m) - 1, (1 << scanned) - 1),
+    ]
+    for a, b in operands:
+        result = digit_serial_mul(a, b, m, digit)
+        assert (result.value, result.cycles) == \
+            algorithm8_mul(a, b, m, digit), (hex(a), hex(b))
+
+
+@pytest.mark.parametrize("m", ALL_M)
+def test_hardwired_square_matches_fig513(m, rng):
+    values = [0, 1, (1 << m) - 1, 1 << m, rng.getrandbits(2 * m)]
+    values += [rng.getrandbits(m) for _ in range(8)]
+    for a in values:
+        assert hardwired_square(a, m) == fig513_square(a, m), hex(a)
 
 
 def test_digit_serial_cycle_model():

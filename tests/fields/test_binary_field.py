@@ -10,8 +10,41 @@ from repro.fields.nist import (
     NIST_BINARY_POLYS,
     reduce_binary,
 )
+from tests.oracles import bitserial_mul, interleave_sqr
 
 ALL_M = sorted(NIST_BINARY_POLYS)
+
+
+def _edge_operands(bits: int) -> list[int]:
+    """0, 1, all ones, a lone top bit, and two unreduced values."""
+    ones = (1 << bits) - 1
+    return [0, 1, ones, 1 << (bits - 1), (1 << bits) | 1,
+            (ones << bits) | ones]
+
+
+@pytest.mark.parametrize("bits", [32] + ALL_M)
+def test_poly_mul_matches_bitserial(bits, rng):
+    """The width-4 comb against one-bit-at-a-time multiplication."""
+    edges = _edge_operands(bits)
+    pairs = [(a, b) for a in edges for b in edges]
+    pairs += [(rng.getrandbits(bits), rng.getrandbits(bits))
+              for _ in range(40)]
+    # unequal lengths, either way round: the comb tables the longer one
+    pairs += [(rng.getrandbits(bits), rng.getrandbits(n))
+              for n in (1, 3, 4, 5, 31, 33, 2 * bits + 1)]
+    pairs += [(b, a) for a, b in pairs[-7:]]
+    for a, b in pairs:
+        assert _poly_mul(a, b) == bitserial_mul(a, b), (hex(a), hex(b))
+
+
+@pytest.mark.parametrize("bits", [32] + ALL_M)
+def test_poly_sqr_matches_interleave(bits, rng):
+    """The byte-table square against the bit-interleave loop."""
+    values = _edge_operands(bits)
+    values += [rng.getrandbits(bits) for _ in range(40)]
+    values += [rng.getrandbits(n) for n in range(1, 18)]
+    for a in values:
+        assert _poly_sqr(a) == interleave_sqr(a), hex(a)
 
 
 @pytest.mark.parametrize("m", ALL_M)

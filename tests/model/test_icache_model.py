@@ -1,12 +1,17 @@
 """The synthetic ECDSA trace and the cache working-set knee."""
 
+import pytest
 
 from repro.model.icache_model import (
     HOT_LAYOUT,
     cache_study,
     ecdsa_instruction_trace,
+    ecdsa_line_runs,
     miss_profile,
+    replay_line_runs,
 )
+from repro.pete.icache import ICache, ICacheConfig
+from repro.pete.stats import CoreStats
 
 
 def test_trace_is_deterministic():
@@ -70,3 +75,32 @@ def test_miss_profile_covers_sweep():
 
 def test_study_cached():
     assert cache_study(2048, False) is cache_study(2048, False)
+
+
+def test_line_runs_stay_inside_one_line():
+    for first, count in ecdsa_line_runs(point_ops=4):
+        assert first % 4 == 0 and count >= 1
+        assert first // 16 == (first + 4 * (count - 1)) // 16
+
+
+@pytest.mark.parametrize("size_kb", [1, 2, 4, 8])
+@pytest.mark.parametrize("prefetch", [False, True])
+def test_line_run_replay_equals_per_fetch_replay(size_kb, prefetch):
+    """Counting a run's repeat fetches as hits is exact: every cache
+    counter and the stall total equal those of fetching each address."""
+    config = ICacheConfig(size_bytes=size_kb * 1024, prefetch=prefetch)
+    point_ops = 6
+    per_fetch = CoreStats()
+    cache = ICache(config, per_fetch)
+    stalls = sum(cache.access(addr)
+                 for addr in ecdsa_instruction_trace(point_ops))
+    runs = CoreStats()
+    assert replay_line_runs(ICache(config, runs),
+                            ecdsa_line_runs(point_ops)) == stalls
+    assert runs.as_dict() == per_fetch.as_dict()
+    assert per_fetch.icache_misses > 0 and per_fetch.icache_hits > 0
+    study = cache_study(size_kb * 1024, prefetch, point_ops)
+    assert (study.accesses, study.misses, study.prefetch_hits,
+            study.rom_line_reads, study.extra_stall_cycles) == (
+        per_fetch.icache_accesses, per_fetch.icache_misses,
+        per_fetch.prefetch_hits, per_fetch.rom_line_reads, stalls)

@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.fields import inversion
 from repro.fields.inversion import _poly_sqr
 from repro.mp.binary_sqr import (
     SQUARE_TABLE_8BIT,
@@ -9,6 +10,7 @@ from repro.mp.binary_sqr import (
     binary_square_words,
 )
 from repro.mp.words import from_int, to_int
+from tests.oracles import interleave_sqr
 
 
 def test_table_contents():
@@ -18,7 +20,9 @@ def test_table_contents():
     assert SQUARE_TABLE_8BIT[0b11] == 0b101
     assert SQUARE_TABLE_8BIT[0xFF] == 0b0101010101010101
     for byte, square in enumerate(SQUARE_TABLE_8BIT):
-        assert square == _poly_sqr(byte)
+        assert square == interleave_sqr(byte)
+    # one table: the functional squaring reads the same tuple
+    assert SQUARE_TABLE_8BIT is inversion.SQUARE_TABLE_8BIT
 
 
 def test_square_words_paths_agree(rng):
