@@ -69,7 +69,7 @@ sweep-clean:
 # on zero errors + warm steady state (mirrors the serve-smoke CI job;
 # requires numpy).  BENCH_serve.json + telemetry land in results/serve.
 serve:
-	PYTHONPATH=src python benchmarks/bench_serve.py \
+	PYTHONPATH=src python -m repro.serve \
 		--requests 250 --rates 200,800 --workers 2 \
 		--obs --require-warm \
 		--out results/serve --stats-json results/serve/serve_stats.json

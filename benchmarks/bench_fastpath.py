@@ -27,6 +27,7 @@ from __future__ import annotations
 import pathlib
 import sys
 import time
+from collections import Counter
 
 #: Table 7.1 GF(p) kernel subset: field add/sub, school-book and
 #: product-scanning multiply, squaring, NIST P-192 reduction.
@@ -70,9 +71,12 @@ def _bench_lanes(out_dir: pathlib.Path) -> int:
         print("bench_fastpath: --batch requires numpy",
               file=sys.stderr)
         return 1
-    from repro.pete.lanes import LaneEngine, runtime_stats_snapshot
+    from repro import obs
+    from repro.pete.lanes import LaneEngine
 
     runner = KernelRunner(cache={})
+    counts_base = obs.counts()
+    engines: Counter = Counter()   # summed LaneEngine.counters()
     rows = []
     width_cols = " ".join(f"{f'x{b}':>9}" for b in BATCHES)
     print(f"{'kernel':<14} {'fast1/s':>9} {width_cols}  "
@@ -86,7 +90,8 @@ def _bench_lanes(out_dir: pathlib.Path) -> int:
 
         # warm the lane code cache so every width measures steady state
         warm_cores, warm_entry = runner.prepare_lanes(name, k, 2)
-        LaneEngine(warm_cores).run(warm_entry)
+        engines.update(LaneEngine(warm_cores).run(warm_entry).counters())
+        engines["runs"] += 1
 
         per_batch = {}
         for width in BATCHES:
@@ -98,6 +103,8 @@ def _bench_lanes(out_dir: pathlib.Path) -> int:
                 t1 = time.perf_counter()
                 engine.run(entry_b)
                 best = min(best, time.perf_counter() - t1)
+                engines.update(engine.counters())
+                engines["runs"] += 1
             per_batch[str(width)] = {
                 "wall_ms": round(best * 1e3, 3),
                 "per_s": round(width / best, 1),
@@ -138,7 +145,10 @@ def _bench_lanes(out_dir: pathlib.Path) -> int:
               "speedup_geomean": round(geomean64, 2),
               "batch64_per_s": round(total64, 1),
               "fast1_per_s": round(total_fast1, 1),
-              "engine": runtime_stats_snapshot()})
+              "engine": {**engines,
+                         **{name: n for name, n in
+                            obs.counts_since(counts_base).items()
+                            if name.startswith("lane_")}}})
     path = write_record(record, str(out_dir))
     print(f"lanes record: {path}")
     return 0

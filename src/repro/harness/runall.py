@@ -333,14 +333,10 @@ def main(argv: list[str] | None = None) -> int:
             "retries": result.retries,
             "reaped": result.reaped,
         }
-        for key, value in result.fastpath.items():
-            stats[f"fastpath_{key}"] = value
-        for key, value in result.serve.items():
-            stats[f"serve_{key}"] = value
-        if result.serve.get("batches_formed"):
-            stats["serve_mean_batch_occupancy"] = round(
-                result.serve.get("lanes_dispatched", 0)
-                / result.serve["batches_formed"], 3)
+        # the catalog simulates on the scalar fast path: its counts
+        # are the stats' stable keys (the same names OpenMetrics uses)
+        stats.update((name, n) for name, n in result.counts.items()
+                     if name.startswith("fastpath_"))
         args.stats_json.parent.mkdir(parents=True, exist_ok=True)
         args.stats_json.write_text(
             json.dumps(stats, sort_keys=True) + "\n")

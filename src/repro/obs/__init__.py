@@ -4,8 +4,10 @@ Hierarchical wall-clock spans + runtime metrics (counters, gauges,
 p50/p90/p99 histograms) for the sweep engine, result cache, fast-path
 compiler, API and CLI.  Disabled by default; every instrumentation site
 follows the trace bus's null-guard contract (``tel = obs.get()`` /
-``if tel is not None:``).  See :mod:`repro.obs.core` for the model and
-:mod:`repro.obs.export` for OpenMetrics/JSON/Chrome exports.
+``if tel is not None:``), except the always-on count table
+(:func:`count` / :func:`counts` / :func:`counts_since`).  See
+:mod:`repro.obs.core` for the model and :mod:`repro.obs.export` for
+OpenMetrics/JSON/Chrome exports.
 """
 
 from repro.obs.core import (
@@ -14,7 +16,10 @@ from repro.obs.core import (
     Span,
     Telemetry,
     activate_from,
+    count,
     counter,
+    counts,
+    counts_since,
     current_span_id,
     disable,
     drain,
@@ -33,7 +38,10 @@ __all__ = [
     "Span",
     "Telemetry",
     "activate_from",
+    "count",
     "counter",
+    "counts",
+    "counts_since",
     "current_span_id",
     "disable",
     "drain",

@@ -26,7 +26,13 @@ The model mirrors the trace bus's null-guard contract:
 * **metrics** live in a :class:`repro.trace.metrics.MetricsRegistry`
   (counters, gauges, histograms with p50/p90/p99), merged across
   processes by :meth:`MetricsRegistry.merge_state` -- counters add,
-  histogram observations pool.
+  histogram observations pool;
+* the **count table** is the one exception to the null guard: a few
+  always-on integer counts that no single object owns (:func:`count`,
+  :func:`counts`, :func:`counts_since`).  A snapshot exports the
+  table's movement since its plane started as plain counters, so a
+  worker's counts reach the parent through :func:`drain` like any
+  other metric.
 
 Exports (OpenMetrics text, JSON, Chrome trace) live in
 :mod:`repro.obs.export`; the ``python -m repro.obs report`` CLI in
@@ -184,6 +190,7 @@ class Telemetry:
         self.spans: list[dict] = []
         self.registry: MetricsRegistry = MetricsRegistry()
         self.merged_snapshots = 0
+        self.counts_base = counts()
 
     # -- spans -----------------------------------------------------------
 
@@ -233,14 +240,23 @@ class Telemetry:
         return {"trace_id": self.trace_id, "parent_id": _CURRENT.get()}
 
     def snapshot(self) -> dict:
-        """The full telemetry state as pure JSON-serializable data."""
+        """The full telemetry state as pure JSON-serializable data:
+        the registry plus the count table's movement since this plane
+        started, as counters of the same names."""
+        from repro.trace.metrics import MetricsRegistry
+
+        metrics = MetricsRegistry()
+        metrics.merge_state(self.registry.state_dict())
+        for name, n in counts_since(self.counts_base).items():
+            if n:
+                metrics.counter(name).inc(n)
         return {
             "schema": SCHEMA,
             "trace_id": self.trace_id,
             "pid": os.getpid(),
             "created_s": self.created_s,
             "spans": list(self.spans),
-            "metrics": self.registry.state_dict(),
+            "metrics": metrics.state_dict(),
         }
 
     def merge(self, snapshot: dict | None) -> None:
@@ -252,6 +268,44 @@ class Telemetry:
         self.spans.extend(snapshot.get("spans", []))
         self.registry.merge_state(snapshot.get("metrics", {}))
         self.merged_snapshots += 1
+
+
+# ---------------------------------------------------------------------------
+# The always-on count table
+# ---------------------------------------------------------------------------
+
+#: Process-local counts of events that no single object owns, kept
+#: with telemetry on or off: the scalar fast path's shared block maps
+#: and code cache, its deopt runs, and the lane engine's code cache.
+#: Every other always-on count lives on the object whose callers read
+#: it (``LaneEngine.counters()``, ``SigningService.counters()``,
+#: ``ResultCache.hits``).  Only cold paths count here -- discovery,
+#: compilation, deopt -- never per-instruction execution.
+_COUNTS: dict[str, int] = dict.fromkeys((
+    "fastpath_blocks_discovered",
+    "fastpath_blocks_compiled",
+    "fastpath_code_cache_hits",
+    "fastpath_deopt_runs",
+    "lane_blocks_compiled",
+    "lane_code_cache_hits",
+), 0)
+
+
+def count(name: str, n: int = 1) -> None:
+    """Add ``n`` to the table's ``name`` count (a ``KeyError`` names a
+    count the table does not declare)."""
+    _COUNTS[name] += n
+
+
+def counts() -> dict[str, int]:
+    """A snapshot of the count table (the baseline for
+    :func:`counts_since`)."""
+    return dict(_COUNTS)
+
+
+def counts_since(base: dict[str, int]) -> dict[str, int]:
+    """Every count's movement since the snapshot ``base``."""
+    return {name: n - base.get(name, 0) for name, n in _COUNTS.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -69,31 +69,13 @@ _SIGN = 0x8000_0000
 #: closure, so re-simulating a kernel reuses the compiled blocks.
 _CODE_CACHE = BoundedMemo(4096)
 
-#: Process-wide fast-path activity counters, always maintained (cold
-#: path only -- discovery and compilation, never block execution) so
-#: the sweep engine can report per-run deltas even with telemetry off.
-RUNTIME_STATS: dict[str, int] = {
-    "blocks_discovered": 0,
-    "blocks_compiled": 0,
-    "code_cache_hits": 0,
-    "deopt_runs": 0,
-}
-
-
-def runtime_stats_snapshot() -> dict[str, int]:
-    """A copy of :data:`RUNTIME_STATS` (delta baselines for callers)."""
-    return dict(RUNTIME_STATS)
-
 
 def note_deopt() -> None:
-    """Record one deopt-to-reference event: a run that had to leave the
+    """Count one deopt-to-reference event: a run that had to leave the
     fast path because a tracer attached / tracing was switched on.
     Called from :meth:`Pete.attach_tracer` and the prologue of a traced
     :meth:`Pete.run` -- never from the per-block dispatch loop."""
-    RUNTIME_STATS["deopt_runs"] += 1
-    tel = obs.get()
-    if tel is not None:
-        tel.counter("fastpath_deopt_runs").inc()
+    obs.count("fastpath_deopt_runs")
 
 
 def _s32(value: int) -> int:
@@ -387,8 +369,6 @@ class Fastpath:
         #: running the same program under the same configuration
         self._blocks: dict[int, Optional[Callable]] = {}
         self._key: Optional[tuple] = None
-        self.compiled = 0        # blocks compiled by this instance
-        self.code_cache_hits = 0  # blocks reused from _CODE_CACHE
         self._attach()
 
     # -- configuration / invalidation ------------------------------------
@@ -458,29 +438,22 @@ class Fastpath:
     def _compile_at(self, pc: int) -> Optional[Callable]:
         t0 = time.perf_counter()
         decs = discover(self._decode, pc)
-        RUNTIME_STATS["blocks_discovered"] += 1
-        tel = obs.get()
-        if tel is not None:
-            tel.counter("fastpath_blocks_discovered").inc()
+        obs.count("fastpath_blocks_discovered")
         if len(decs) < MIN_BLOCK_LEN:
             return None
         icache_on = self._cpu.icache is not None
         key = (icache_on, pc, tuple(d.word for d in decs))
         fn = _CODE_CACHE.get(key)
-        if fn is None:
-            fn = _CODE_CACHE.put(key, compile_block(decs, pc, icache_on))
-            self.compiled += 1
-            RUNTIME_STATS["blocks_compiled"] += 1
-            if tel is not None:
-                tel.counter("fastpath_blocks_compiled").inc()
-                tel.counter("fastpath_block_instructions").inc(len(decs))
-                tel.histogram("fastpath_compile_s").observe(
-                    time.perf_counter() - t0)
-        else:
-            self.code_cache_hits += 1
-            RUNTIME_STATS["code_cache_hits"] += 1
-            if tel is not None:
-                tel.counter("fastpath_code_cache_hits").inc()
+        if fn is not None:
+            obs.count("fastpath_code_cache_hits")
+            return fn
+        fn = _CODE_CACHE.put(key, compile_block(decs, pc, icache_on))
+        obs.count("fastpath_blocks_compiled")
+        tel = obs.get()
+        if tel is not None:
+            tel.counter("fastpath_block_instructions").inc(len(decs))
+            tel.histogram("fastpath_compile_s").observe(
+                time.perf_counter() - t0)
         return fn
 
     def precompile(self, starts) -> int:
@@ -489,7 +462,7 @@ class Fastpath:
         runs are *decided* (stored as ``None``), so they stop counting
         as discoveries too.  Returns the number of blocks newly
         compiled."""
-        before = RUNTIME_STATS["blocks_compiled"]
+        base = obs.counts()
         close_blocks(starts, lambda pc: getattr(
             self.lookup(pc), "__fastpath_len__", 0))
-        return RUNTIME_STATS["blocks_compiled"] - before
+        return obs.counts_since(base)["fastpath_blocks_compiled"]

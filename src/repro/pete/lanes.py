@@ -90,26 +90,6 @@ _LANE_CODE_CACHE = BoundedMemo(4096)
 #: they are called with.
 _PROGRAM_MAPS = BoundedMemo(64)
 
-#: Cross-engine counters in the same style as ``fastpath.RUNTIME_STATS``;
-#: mirrored into the telemetry plane when a collector is active.
-RUNTIME_STATS: dict[str, int] = {
-    "lane_engines": 0,
-    "lane_runs": 0,
-    "lane_lanes": 0,
-    "lane_vector_blocks": 0,
-    "lane_blocks_compiled": 0,
-    "lane_code_cache_hits": 0,
-    "lane_divergences": 0,
-    "lane_demotions": 0,
-    "lane_rejoins": 0,
-    "lane_fallback_instructions": 0,
-}
-
-
-def runtime_stats_snapshot() -> dict[str, int]:
-    """A point-in-time copy (for before/after deltas around a run)."""
-    return dict(RUNTIME_STATS)
-
 
 def require_numpy() -> None:
     if np is None:
@@ -422,9 +402,9 @@ def _lane_code(pc: int, decs: Sequence[Decoded]) -> Callable:
     fn = _LANE_CODE_CACHE.get(key)
     if fn is None:
         fn = _LANE_CODE_CACHE.put(key, compile_lane_block(decs, pc))
-        RUNTIME_STATS["lane_blocks_compiled"] += 1
+        obs.count("lane_blocks_compiled")
     else:
-        RUNTIME_STATS["lane_code_cache_hits"] += 1
+        obs.count("lane_code_cache_hits")
     return fn
 
 
@@ -532,9 +512,6 @@ class LaneEngine:
         self.vector_blocks = 0
         self.fallback_instructions = 0
 
-        RUNTIME_STATS["lane_engines"] += 1
-        RUNTIME_STATS["lane_lanes"] += n
-
     # -- lifecycle ---------------------------------------------------------
 
     def begin(self, entry: int) -> None:
@@ -549,7 +526,6 @@ class LaneEngine:
         if entry is not None:
             self.begin(entry)
         self._max_cycles = max_cycles
-        RUNTIME_STATS["lane_runs"] += 1
         units = 0
         with obs.span("lanes.run", lanes=str(self.n)):
             while self.step_unit():
@@ -587,7 +563,6 @@ class LaneEngine:
             if kind == "blk":
                 payload(self)
                 self.vector_blocks += 1
-                RUNTIME_STATS["lane_vector_blocks"] += 1
             else:
                 self._step_control(payload)
         return self._n_done < self.n
@@ -765,7 +740,6 @@ class LaneEngine:
         leave = sel[~taken_act] if taken_wins else sel[taken_act]
         leave_pc = (pc + 8) if taken_wins else target
         self.divergences += 1
-        RUNTIME_STATS["lane_divergences"] += 1
         for lane in leave:
             self._demote(int(lane), leave_pc)
         self._set_active([int(x) for x in stay])
@@ -782,7 +756,6 @@ class LaneEngine:
             self.pc = int(values[0])
             return
         self.divergences += 1
-        RUNTIME_STATS["lane_divergences"] += 1
         win = values[int(counts.argmax())]
         stay = [int(x) for x in sel[act_targets == win]]
         for lane in sel[act_targets != win]:
@@ -833,7 +806,6 @@ class LaneEngine:
         b.mem.ram[:] = self.ram[lane].tobytes()
         self._demoted[lane] = b
         self.demotions += 1
-        RUNTIME_STATS["lane_demotions"] += 1
 
     def _rejoin(self, lane: int, b: Pete) -> None:
         """Copy a re-converged bridge back into the dense arrays."""
@@ -855,7 +827,6 @@ class LaneEngine:
         del self._demoted[lane]
         self._set_active([int(x) for x in self._act] + [lane])
         self.rejoins += 1
-        RUNTIME_STATS["lane_rejoins"] += 1
 
     def _finalize_bridge(self, lane: int, b: Pete) -> None:
         """A lane halted while demoted: the bridge stays the source of
@@ -897,7 +868,6 @@ class LaneEngine:
             stepped += b.stats.instructions - before
         if stepped:
             self.fallback_instructions += stepped
-            RUNTIME_STATS["lane_fallback_instructions"] += stepped
 
     # -- masked memory helpers --------------------------------------------
 
@@ -1271,7 +1241,7 @@ class LaneEngine:
         serving worker promise compile-free steady state.  Returns the
         number of blocks newly compiled.
         """
-        before = RUNTIME_STATS["lane_blocks_compiled"]
+        base = obs.counts()
 
         def close(pc: int) -> int:
             kind, payload = self._blocks.get(pc) or self._compile_at(pc)
@@ -1286,7 +1256,7 @@ class LaneEngine:
             return length
 
         close_blocks(starts, close)
-        return RUNTIME_STATS["lane_blocks_compiled"] - before
+        return obs.counts_since(base)["lane_blocks_compiled"]
 
 
 # ---------------------------------------------------------------------------
@@ -1320,8 +1290,6 @@ class LanePool:
         self.stock_target = max(0, stock_target)
         self._stock: dict[tuple, list] = {}     # key -> prepared cores
         self._entries: dict[tuple, int] = {}    # key -> entry pc
-        self.prepared = 0
-        self.reused = 0
 
     @staticmethod
     def key_for(name: str, k: int, config: str = "") -> tuple:
@@ -1336,14 +1304,12 @@ class LanePool:
         if entry != known:  # pragma: no cover - program images are static
             raise RuntimeError(f"kernel {name!r}: unstable entry point")
         self._stock.setdefault(key, []).extend(cores)
-        self.prepared += n
 
     def take(self, name: str, k: int, n: int,
              config: str = "") -> tuple[list, int]:
         """``n`` prepared cores plus the entry pc, stock-first."""
         key = self.key_for(name, k, config)
         stock = self._stock.setdefault(key, [])
-        self.reused += min(len(stock), n)
         self._fill(key, n - len(stock))
         cores, self._stock[key] = stock[:n], stock[n:]
         return cores, self._entries[key]
@@ -1358,10 +1324,3 @@ class LanePool:
 
     def stocked(self, name: str, k: int, config: str = "") -> int:
         return len(self._stock.get(self.key_for(name, k, config), ()))
-
-    def counters(self) -> dict[str, int]:
-        return {
-            "pool_prepared": self.prepared,
-            "pool_reused": self.reused,
-            "pool_stocked": sum(len(v) for v in self._stock.values()),
-        }

@@ -9,7 +9,7 @@ maps -- steady-state requests never pay discovery or compilation.
 
 See ``ARCHITECTURE.md`` (service plane) for the queueing model and
 worker warm-state lifecycle, and :mod:`repro.serve.loadgen` for the
-open-loop benchmark harness behind ``benchmarks/bench_serve.py``.
+open-loop load generator behind ``python -m repro.serve``.
 """
 
 from repro.serve.loadgen import (
@@ -19,13 +19,7 @@ from repro.serve.loadgen import (
     run_load,
 )
 from repro.serve.queue import AdmissionQueue, QueueEntry
-from repro.serve.service import (
-    RUNTIME_STATS,
-    ServeConfig,
-    SigningService,
-    runtime_stats_snapshot,
-    serve,
-)
+from repro.serve.service import ServeConfig, SigningService, serve
 from repro.serve.types import (
     CURVES,
     OPERATIONS,
@@ -53,7 +47,6 @@ __all__ = [
     "PLANS",
     "QueueEntry",
     "RequestShed",
-    "RUNTIME_STATS",
     "ServeConfig",
     "ServeError",
     "ServeRequest",
@@ -65,6 +58,5 @@ __all__ = [
     "WorkerFailure",
     "plan_for",
     "run_load",
-    "runtime_stats_snapshot",
     "serve",
 ]

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from repro.serve.service import SigningService
 from repro.serve.types import (
     RequestShed,
+    ServeError,
     ServeRequest,
     ServeResponse,
     ServiceDraining,
@@ -109,6 +110,10 @@ class LoadReport:
                 f"offered {self.offered} != admitted "
                 f"{delta('admitted')} + shed {self.shed} "
                 f"+ drained {self.drained}")
+        if self.completed + self.failed != delta("admitted"):
+            problems.append(
+                f"completed {self.completed} + failed {self.failed} "
+                f"!= admitted {delta('admitted')}")
         return problems
 
     def to_dict(self) -> dict:
@@ -159,6 +164,10 @@ async def run_load(service: SigningService,
             return ("shed", request)
         except ServiceDraining:
             return ("drained", request)
+        except ServeError:
+            # admitted, then abandoned (e.g. flushed when the last
+            # worker died): a failure, like a failed response
+            return ("failed", request)
         return ("completed" if response.ok else "failed", response)
 
     t0 = time.perf_counter()

@@ -23,13 +23,13 @@ joins the process -- escalating to ``terminate()`` only if a worker
 ignores the stop.  :meth:`install_signal_handlers` wires SIGTERM and
 SIGINT to exactly that path.
 
-Accounting: the module-level :data:`RUNTIME_STATS` counters mirror
-what the service serves (requests, batches, lanes, sheds), in the same
-style as ``repro.pete.fastpath.RUNTIME_STATS`` -- the sweep engine and
-``runall --stats-json`` surface their movement.  A ``kind="serve"``
-ledger record is appended on :meth:`stop` so the regress ledger can
-trend service efficiency (requests served, batches formed, mean batch
-occupancy, latency quantiles) across PRs.
+Accounting: :meth:`SigningService.counters` is the one account of
+what the service did (requests served, failed and shed, batches,
+lanes, post-warm compiles); every admitted request ends up served or
+failed, so ``admitted == served + failed + queued``.  A
+``kind="serve"`` ledger record is appended on :meth:`stop` so the
+regress ledger can trend service efficiency (requests served, batches
+formed, mean batch occupancy, latency quantiles) across PRs.
 """
 
 from __future__ import annotations
@@ -43,30 +43,12 @@ from dataclasses import dataclass
 from repro import obs
 from repro.serve.queue import AdmissionQueue, QueueEntry
 from repro.serve.types import (
-    RequestShed,
     ServeRequest,
     ServeResponse,
     ServiceDraining,
     WorkerFailure,
     plan_for,
 )
-
-#: Cross-engine counters in the same style as the fast path's; the
-#: sweep engine snapshots them around a run and ``runall --stats-json``
-#: emits their movement as ``serve_*`` fields.
-RUNTIME_STATS: dict[str, int] = {
-    "requests_served": 0,
-    "requests_failed": 0,
-    "requests_shed": 0,
-    "batches_formed": 0,
-    "lanes_dispatched": 0,
-}
-
-
-def runtime_stats_snapshot() -> dict[str, int]:
-    """A point-in-time copy (delta baselines for callers)."""
-    return dict(RUNTIME_STATS)
-
 
 @dataclass
 class ServeConfig:
@@ -111,7 +93,6 @@ class WorkerHandle:
         self.proc.start()
         child.close()
         self.info: dict = {}
-        self.batches = 0
 
     @property
     def pid(self) -> int | None:
@@ -293,11 +274,7 @@ class SigningService:
         ).create_future()
         entry = QueueEntry(request=request, plan=plan_for(
             request.op, request.curve), future=future)
-        try:
-            self.queue.admit(entry)
-        except RequestShed:
-            RUNTIME_STATS["requests_shed"] += 1
-            raise
+        self.queue.admit(entry)
         response: ServeResponse = await future
         response.latency_s = time.perf_counter() - t0
         self.latency.observe(response.latency_s)
@@ -332,10 +309,11 @@ class SigningService:
                     return
         finally:
             self._live_dispatchers -= 1
-            if self._live_dispatchers == 0 and len(self.queue):
-                # no one left to serve what is still queued
+            if self._live_dispatchers == 0:
+                # no one is left to serve what is queued or arrives
+                # later: refuse new requests, fail the queued ones
                 self.queue.close()
-                self.queue.flush(WorkerFailure(
+                self.requests_failed += self.queue.flush(WorkerFailure(
                     "all workers lost; queued requests abandoned"))
 
     async def _run_batch(self, worker, batch: list[QueueEntry]) -> None:
@@ -364,11 +342,8 @@ class SigningService:
         self._settle_batch(worker, batch, reply[2], plan, config)
 
     def _settle_batch(self, worker, batch, result, plan, config) -> None:
-        worker.batches += 1
         self.batches += 1
         self.lanes += len(batch)
-        RUNTIME_STATS["batches_formed"] += 1
-        RUNTIME_STATS["lanes_dispatched"] += len(batch)
         if result.get("warm") and result.get("compiled", 0) > 0:
             self.post_warm_compiles += result["compiled"]
         tel = obs.get()
@@ -391,14 +366,12 @@ class SigningService:
                 service_s=result["wall_s"],
                 batch_size=len(batch), worker=worker.index)
             self.requests_ok += 1
-            RUNTIME_STATS["requests_served"] += 1
             if not entry.future.done():
                 entry.future.set_result(response)
 
     def _fail_batch(self, batch, exc: WorkerFailure) -> None:
         for entry in batch:
             self.requests_failed += 1
-            RUNTIME_STATS["requests_failed"] += 1
             response = ServeResponse(
                 request=entry.request, status="failed",
                 batch_size=len(batch), error=str(exc))

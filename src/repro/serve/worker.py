@@ -25,11 +25,12 @@ Protocol (one duplex pipe per worker, parent is the asyncio service):
   reply ``("ok", seq, result)`` or ``("error", seq, message)``
 * ``("stop",)``         -> reply ``("bye", telemetry)`` and exit
 
-Every batch result carries the worker's block-compilation delta for
-that batch (lane code cache + scalar fast path), and ``warm=True``
-once the plan has run before in this process -- the service asserts
-that warm batches never compile, which is the "no discovery in steady
-state" contract the CI smoke checks via ``RUNTIME_STATS``.
+Every batch result carries the blocks the worker compiled during that
+batch (the movement of the ``lane_blocks_compiled`` and
+``fastpath_blocks_compiled`` counts in :func:`repro.obs.counts`), and
+``warm=True`` once the plan has run before in this process -- the
+service counts warm batches that compiled as ``post_warm_compiles``,
+the "no discovery in steady state" contract the CI smoke gates on.
 """
 
 from __future__ import annotations
@@ -42,25 +43,6 @@ from repro.serve.types import check_config
 
 #: Lanes used to warm a plan's code caches at worker start.
 WARM_LANES = 2
-
-#: Keys summed into a batch's "blocks compiled" delta.
-_LANE_DISCOVERY_KEYS = ("lane_blocks_compiled",)
-_FASTPATH_DISCOVERY_KEYS = ("blocks_compiled",)
-
-
-def _discovery_snapshot() -> dict[str, int]:
-    """Current block-compilation counters (lane engine + fast path)."""
-    from repro.pete import fastpath, lanes
-
-    snap = {k: lanes.RUNTIME_STATS[k] for k in _LANE_DISCOVERY_KEYS}
-    snap.update(
-        {k: fastpath.RUNTIME_STATS[k] for k in _FASTPATH_DISCOVERY_KEYS})
-    return snap
-
-
-def _discovery_delta(base: dict[str, int]) -> int:
-    now = _discovery_snapshot()
-    return sum(now[k] - base.get(k, 0) for k in now)
 
 
 def _static_block_starts(core, entry: int) -> list[int]:
@@ -104,8 +86,6 @@ class _WorkerState:
         self.cache = ResultCache(cache_dir)
         self._params: dict[str, object] = {}
         self._warm: set[tuple[str, int]] = set()
-        self.batches = 0
-        self.lanes_run = 0
 
     # -- pricing ---------------------------------------------------------
 
@@ -183,11 +163,10 @@ class _WorkerState:
         accounting."""
         from repro.pete.lanes import LaneEngine
 
-        base = _discovery_snapshot()
+        base = obs.counts()
         warm = (name, k) in self._warm
         t0 = time.perf_counter()
         cores, entry = self.pool.take(name, k, n)
-        prepare_s = time.perf_counter() - t0
         engine = LaneEngine(cores)
         engine.run(entry)
         wall_s = time.perf_counter() - t0
@@ -200,16 +179,13 @@ class _WorkerState:
                 "energy_nj": self._price_nj(stats, config),
             })
         self._warm.add((name, k))
-        self.batches += 1
-        self.lanes_run += n
         self.pool.restock(name, k)
+        moved = obs.counts_since(base)
         return {
             "lanes": lanes,
             "wall_s": wall_s,
-            "prepare_s": prepare_s,
-            "engine": engine.counters(),
-            "pool": self.pool.counters(),
-            "compiled": _discovery_delta(base),
+            "compiled": (moved["lane_blocks_compiled"]
+                         + moved["fastpath_blocks_compiled"]),
             "warm": warm,
         }
 
@@ -261,9 +237,7 @@ def worker_main(conn, index: int, calibration=None,
                         continue
                 conn.send(("ok", seq, result))
             elif op == "stop":
-                conn.send(("bye", {"batches": state.batches,
-                                   "lanes": state.lanes_run,
-                                   "telemetry": obs.drain()}))
+                conn.send(("bye", {"telemetry": obs.drain()}))
                 break
             else:  # pragma: no cover - protocol misuse
                 conn.send(("error", -1, f"unknown message {op!r}"))

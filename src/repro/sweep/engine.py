@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import functools
 import multiprocessing
-import sys
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _connection_wait
 
@@ -72,63 +71,19 @@ def _compute_payload(kind: str, name: str,
         return spec.payload()
 
 
-#: The fast-path activity counters the engine reports per run.
-_FASTPATH_KEYS = ("blocks_discovered", "blocks_compiled",
-                  "code_cache_hits", "deopt_runs")
-
-
-def _fastpath_counters() -> dict[str, int]:
-    """Current :data:`repro.pete.fastpath.RUNTIME_STATS`, without
-    importing the pete stack into processes that never simulate."""
-    mod = sys.modules.get("repro.pete.fastpath")
-    if mod is None:
-        return {}
-    return mod.runtime_stats_snapshot()
-
-
-def _fastpath_delta(base: dict[str, int]) -> dict[str, int] | None:
-    """Counter movement since ``base`` (``None`` if pete never ran)."""
-    now = _fastpath_counters()
-    if not now and not base:
-        return None
-    return {k: now.get(k, 0) - base.get(k, 0) for k in _FASTPATH_KEYS}
-
-
-#: The service-plane counters the engine reports per run.
-_SERVE_KEYS = ("requests_served", "requests_shed", "batches_formed",
-               "lanes_dispatched")
-
-
-def _serve_counters() -> dict[str, int]:
-    """Current :data:`repro.serve.service.RUNTIME_STATS`, without
-    importing the service plane into processes that never serve."""
-    mod = sys.modules.get("repro.serve.service")
-    if mod is None:
-        return {}
-    return mod.runtime_stats_snapshot()
-
-
-def _serve_delta(base: dict[str, int]) -> dict[str, int] | None:
-    """Counter movement since ``base`` (``None`` if nothing served)."""
-    now = _serve_counters()
-    if not now and not base:
-        return None
-    return {k: now.get(k, 0) - base.get(k, 0) for k in _SERVE_KEYS}
-
-
 def _pool_worker(conn, compute, kind: str, name: str,
                  obs_ctx: dict | None = None) -> None:
     """Run one task in a dedicated process, reporting over ``conn``.
 
     The message is ``(status, value, extras)``: extras carry the
-    worker's fast-path counter delta (measured against this process's
-    own baseline, so a forked parent's counts never leak in) and -- when
+    movement of this process's :func:`repro.obs.counts` table during
+    the task (so a forked parent's counts never leak in) and -- when
     ``obs_ctx`` joined it to the parent's trace -- the drained telemetry
     snapshot, whose spans are parented under the dispatching task span.
     """
     if obs_ctx is not None:
         obs.activate_from(obs_ctx)
-    base = _fastpath_counters()
+    base = obs.counts()
     span = obs.span("sweep.worker", kind=kind, task=name).start()
     try:
         message = ("ok", compute(kind, name))
@@ -136,7 +91,7 @@ def _pool_worker(conn, compute, kind: str, name: str,
     except BaseException as exc:
         span.finish("error")
         message = ("error", f"{type(exc).__name__}: {exc}")
-    extras = {"fastpath": _fastpath_delta(base), "telemetry": obs.drain()}
+    extras = {"counts": obs.counts_since(base), "telemetry": obs.drain()}
     try:
         conn.send((*message, extras))
     except Exception as exc:
@@ -167,7 +122,6 @@ class TaskOutcome:
     error: str | None = None
     payload: dict | None = None
     reaped: int = 0             # attempts killed for exceeding timeout
-    fastpath: dict[str, int] | None = None  # worker counter deltas
 
     @property
     def ok(self) -> bool:
@@ -191,12 +145,9 @@ class SweepResult:
     #: ResultCache hit/miss movement during this run (0/0 uncached)
     cache_hits: int = 0
     cache_misses: int = 0
-    #: fast-path compiler activity across the run -- the inline
-    #: process's counter delta plus every pool worker's shipped delta
-    fastpath: dict[str, int] = field(default_factory=dict)
-    #: service-plane activity during the run (requests served by any
-    #: in-process SigningService while the sweep was running)
-    serve: dict[str, int] = field(default_factory=dict)
+    #: movement of the :func:`repro.obs.counts` table across the run:
+    #: this process's plus what every pool worker shipped back
+    counts: dict[str, int] = field(default_factory=dict)
 
     @property
     def hits(self) -> int:
@@ -224,18 +175,11 @@ class SweepResult:
                f"{len(self.failed)} failed, jobs={self.jobs}"
                f"; cache {self.cache_hits} hits / "
                f"{self.cache_misses} misses")
-        fp = self.fastpath
-        if fp:
-            out += (f"; fastpath {fp.get('blocks_compiled', 0)} compiled"
-                    f" / {fp.get('code_cache_hits', 0)} code-cache hits")
-        sv = self.serve
-        if sv and sv.get("requests_served"):
-            batches = sv.get("batches_formed", 0)
-            occupancy = (sv.get("lanes_dispatched", 0) / batches
-                         if batches else 0.0)
-            out += (f"; serve {sv['requests_served']} served / "
-                    f"{batches} batches "
-                    f"(mean occupancy {occupancy:.1f})")
+        counts = self.counts
+        if counts:
+            out += (f"; fastpath {counts['fastpath_blocks_compiled']} "
+                    f"compiled / {counts['fastpath_code_cache_hits']} "
+                    f"code-cache hits")
         if self.reaped:
             out += f"; {self.reaped} reaped"
         return out
@@ -291,8 +235,8 @@ class SweepEngine:
         keys: dict[tuple[str, str], str] = {}
         cache_base = ((self.cache.hits, self.cache.misses)
                       if self.cache is not None else (0, 0))
-        fastpath_base = _fastpath_counters()
-        serve_base = _serve_counters()
+        counts_base = obs.counts()
+        moved: Counter = Counter()      # the run's, in every process
 
         with obs.span("sweep.run", jobs=str(self.jobs),
                       tasks=str(len(specs))):
@@ -316,7 +260,7 @@ class SweepEngine:
 
             if pending:
                 if self.jobs > 1:
-                    self._run_pool(pending, outcomes, keys)
+                    self._run_pool(pending, outcomes, keys, moved)
                 else:
                     self._run_inline(pending, outcomes, keys)
 
@@ -325,12 +269,8 @@ class SweepEngine:
         if self.cache is not None:
             result.cache_hits = self.cache.hits - cache_base[0]
             result.cache_misses = self.cache.misses - cache_base[1]
-        fastpath = _fastpath_delta(fastpath_base) or {}
-        for outcome in result.outcomes:
-            for key, value in (outcome.fastpath or {}).items():
-                fastpath[key] = fastpath.get(key, 0) + value
-        result.fastpath = fastpath
-        result.serve = _serve_delta(serve_base) or {}
+        moved.update(obs.counts_since(counts_base))
+        result.counts = dict(moved)
         return result
 
     def run_lanes(self, kernels, runner=None) -> SweepResult:
@@ -455,43 +395,38 @@ class SweepEngine:
             self._finish(spec, outcomes[spec.key], keys)
             self._note_outcome(outcomes[spec.key], emit_span=True)
 
-    def _run_pool(self, pending, outcomes, keys) -> None:
+    def _run_pool(self, pending, outcomes, keys, shipped: Counter) -> None:
         """One dedicated worker process per task attempt.
 
         At most ``self.jobs`` workers run at once.  Each worker reports
         over a pipe; its deadline is measured from ``Process.start()``,
         and a worker that outlives it is killed -- the slot frees up
         for the queued/retried tasks instead of the sweep blocking on a
-        hung simulation.
+        hung simulation.  Every attempt's shipped count movement is
+        added to ``shipped``.
         """
         ctx = multiprocessing.get_context(self.mp_context)
         tel = obs.get()
         queue = deque((spec, 1) for spec in pending)
         first_start: dict[tuple[str, str], float] = {}
         reap_counts: dict[tuple[str, str], int] = {}
-        fastpath_by_key: dict[tuple[str, str], dict[str, int]] = {}
         # recv conn -> (proc, spec, attempt, t0, task_span)
         running: dict[object, tuple] = {}
 
-        def absorb_extras(spec, extras) -> None:
-            """Fold a worker's shipped counters/telemetry into the run."""
+        def absorb_extras(extras) -> None:
+            """Fold a worker's shipped counts/telemetry into the run."""
             if not extras:
                 return
-            delta = extras.get("fastpath")
-            if delta:
-                acc = fastpath_by_key.setdefault(spec.key, {})
-                for key, value in delta.items():
-                    acc[key] = acc.get(key, 0) + value
+            shipped.update(extras["counts"])
             if tel is not None:
-                tel.merge(extras.get("telemetry"))
+                tel.merge(extras["telemetry"])
 
         def settle(spec, attempt, status, payload=None, error=None):
             outcome = TaskOutcome(
                 spec.kind, spec.name, status,
                 wall_s=time.perf_counter() - first_start[spec.key],
                 attempts=attempt, error=error, payload=payload,
-                reaped=reap_counts.get(spec.key, 0),
-                fastpath=fastpath_by_key.get(spec.key))
+                reaped=reap_counts.get(spec.key, 0))
             outcomes[spec.key] = outcome
             self._finish(spec, outcome, keys)
             self._note_outcome(outcome)
@@ -538,7 +473,7 @@ class SweepEngine:
                         status, value, extras = "error", None, None
                     conn.close()
                     proc.join()
-                    absorb_extras(spec, extras)
+                    absorb_extras(extras)
                     if task_span is not None:
                         task_span.annotate(result=status).finish(
                             "ok" if status == "ok" else "error")
@@ -590,7 +525,6 @@ class SweepEngine:
                 "error": outcome.error,
                 "cached": self.cache is not None,
                 "compute_wall_s": payload.get("wall_s"),
-                "fastpath": outcome.fastpath,
             })
 
 

@@ -2,8 +2,8 @@
 
 Mirrors the PR 2 stripped-replica guard (``tests/trace/test_overhead``):
 the obs instrumentation contract is ``tel = obs.get()`` plus
-``if tel is not None:`` blocks (and the always-on ``RUNTIME_STATS``
-cold-path counters).  This test reconstructs the pre-telemetry fast
+``if tel is not None:`` blocks (and the always-on ``obs.count``
+cold-path counts).  This test reconstructs the pre-telemetry fast
 path by stripping exactly those lines from the live source of
 ``Fastpath._compile_at`` and the block-threaded ``Pete.run`` loop,
 verifies the replica is cycle-exact, then checks instrumented warm
@@ -34,7 +34,7 @@ INNER = 6
 
 #: single statements the telemetry PR added to the fast path
 _STRIP_LINES = ("tel = obs.get()", "t0 = time.perf_counter()",
-                "RUNTIME_STATS[")
+                "obs.count(")
 #: guarded blocks the telemetry PR added (body stripped with them)
 _STRIP_BLOCKS = ("if tel is not None:",
                  "if self.tracer is not None or self.trace_enabled:")
@@ -87,7 +87,7 @@ def _stripped_source_is_really_different():
     replica = "".join(_STRIPPED_SOURCES.values())
     return ("obs.get" in live and "note_deopt" in live
             and "obs.get" not in replica and "note_deopt" not in replica
-            and "RUNTIME_STATS" not in replica)
+            and "obs.count" not in replica)
 
 
 def _fresh(cpu, stripped: bool):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.pete import Pete, assemble
 from repro.pete.diffexec import compare_state, lockstep, run_reference
 from repro.pete.icache import ICacheConfig
@@ -56,9 +57,12 @@ def _run_both(source, **kwargs):
 
 
 def test_fast_run_matches_reference_straight_line():
+    base = obs.counts()
     ref, fast = _run_both(STRAIGHT_LINE)
     assert compare_state(ref, fast) is None
-    assert fast.fastpath.compiled + fast.fastpath.code_cache_hits > 0, \
+    moved = obs.counts_since(base)
+    assert (moved["fastpath_blocks_compiled"]
+            + moved["fastpath_code_cache_hits"]) > 0, \
         "the straight-line body must actually run as a superblock"
 
 
@@ -199,13 +203,17 @@ def test_block_map_shared_across_clones():
     fp._CODE_CACHE.clear()
     cpu, program = _fresh(LOOP)
     entry = program.address_of("main")
+    base = obs.counts()
     cpu.run(entry)
-    assert cpu.fastpath.compiled > 0
+    assert obs.counts_since(base)["fastpath_blocks_compiled"] > 0
 
     other = cpu.clone()
+    base = obs.counts()
     other.run(entry)
-    assert other.fastpath.compiled == 0, \
+    moved = obs.counts_since(base)
+    assert moved["fastpath_blocks_compiled"] == 0, \
         "a clone re-running the same program must reuse the shared map"
+    assert moved["fastpath_blocks_discovered"] == 0
 
 
 def test_max_cycles_still_enforced():

@@ -8,6 +8,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+from repro import obs
 from repro.kernels.runner import KernelRunner
 from repro.pete import fastpath, lanes
 from repro.pete.diffexec import (
@@ -93,12 +94,12 @@ def test_second_engine_over_a_run_program_reuses_its_blocks(monkeypatch):
 
     monkeypatch.setattr(lanes, "discover", spy(lanes.discover))
     monkeypatch.setattr(fastpath, "discover", spy(fastpath.discover))
-    compiled = (lanes.RUNTIME_STATS["lane_blocks_compiled"],
-                fastpath.RUNTIME_STATS["blocks_compiled"])
+    base = obs.counts()
     second = LaneEngine(twins).run(entry)
     assert discovered == []
-    assert compiled == (lanes.RUNTIME_STATS["lane_blocks_compiled"],
-                        fastpath.RUNTIME_STATS["blocks_compiled"])
+    moved = obs.counts_since(base)
+    assert moved["lane_blocks_compiled"] == 0
+    assert moved["fastpath_blocks_compiled"] == 0
     for i in range(len(twins)):
         assert second.lane_stats(i) == first.lane_stats(i)
 

@@ -4,7 +4,9 @@ Boots the service through :func:`repro.api.serve_session`, drives a
 few batches of real lane-engine work, and pins the two properties the
 CI smoke gate depends on: *warm steady state* (after warm-up, no
 batch triggers fastpath block discovery in the worker) and *clean
-shutdown* (no orphaned worker processes).
+shutdown* (no orphaned worker processes).  An in-process worker state
+pins the other side of the warm-state gate: a batch that does compile
+is counted.
 """
 
 import asyncio
@@ -13,7 +15,9 @@ import os
 import pytest
 
 from repro.api import ServeConfig, ServeRequest, serve_session
+from repro.pete import fastpath, lanes
 from repro.serve.service import worker_pids
+from repro.serve.worker import _WorkerState
 
 
 def _pid_alive(pid: int) -> bool:
@@ -56,3 +60,22 @@ def test_real_worker_warm_steady_state_and_clean_shutdown(tmp_path):
     assert service.stopped
     assert worker_pids(service) == []
     assert not any(_pid_alive(pid) for pid in pids)
+
+
+def test_batch_after_warm_up_reports_its_compiles(tmp_path):
+    """``post_warm_compiles == 0`` only means something if a warm batch
+    that does compile is counted."""
+    pytest.importorskip("numpy")
+    state = _WorkerState(cache_dir=str(tmp_path / "cache"))
+    state.warm_plan("fmul_p192", 6)
+    steady = state.run_batch("fmul_p192", 6, 4)
+    assert steady["warm"] is True and steady["compiled"] == 0
+
+    # lose every compiled block: the next batch must compile again
+    fastpath._CODE_CACHE.clear()
+    fastpath._BLOCK_MAPS.clear()
+    lanes._LANE_CODE_CACHE.clear()
+    lanes._PROGRAM_MAPS.clear()
+    cold = state.run_batch("fmul_p192", 6, 4)
+    assert cold["warm"] is True
+    assert cold["compiled"] > 0

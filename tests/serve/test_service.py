@@ -12,12 +12,7 @@ import asyncio
 import pytest
 
 from repro.serve.loadgen import LoadConfig, run_load
-from repro.serve.service import (
-    RUNTIME_STATS,
-    ServeConfig,
-    SigningService,
-    runtime_stats_snapshot,
-)
+from repro.serve.service import ServeConfig, SigningService
 from repro.serve.types import (
     RequestShed,
     ServeRequest,
@@ -37,7 +32,6 @@ class FakeWorker:
         self.cfg = cfg
         self.delay_s = delay_s
         self.die_on_batch = die_on_batch
-        self.batches = 0
         self._alive = True
 
     @property
@@ -63,15 +57,15 @@ class FakeWorker:
                       "energy_nj": 1.5} for i in range(n)]
             return ("ok", seq, {
                 "lanes": lanes, "wall_s": self.delay_s,
-                "prepare_s": 0.0, "compiled": 0, "warm": True})
+                "compiled": 0, "warm": True})
         if kind == "stop":
             self._alive = False
-            return ("bye", {"batches": self.batches, "telemetry": None})
+            return ("bye", {"telemetry": None})
         raise AssertionError(f"unexpected message {kind!r}")
 
     async def stop(self, timeout_s=10.0):
         self._alive = False
-        return {"batches": self.batches, "telemetry": None}
+        return {"telemetry": None}
 
     def close(self, force=False):
         self._alive = False
@@ -103,7 +97,6 @@ def test_submit_round_trip_and_ledger_record():
         ledger = ListLedger()
         service = _service(ledger=ledger)
         await service.start()
-        base = runtime_stats_snapshot()
         response = await service.submit(ServeRequest("sign", "P-192"))
         assert response.ok
         assert response.kernel == "fmul_p192"
@@ -115,8 +108,6 @@ def test_submit_round_trip_and_ledger_record():
         assert counters["requests_served"] == 1
         assert counters["batches_formed"] == 1
         assert counters["latency"]["count"] == 1
-        assert (RUNTIME_STATS["requests_served"]
-                - base["requests_served"]) == 1
         # stop() appended the kind="serve" regress record
         [record] = ledger.records
         assert record["kind"] == "serve"
@@ -148,7 +139,6 @@ def test_backpressure_sheds_typed_not_timeout():
     async def scenario():
         service = _service(delay_s=0.05, max_depth=2)
         await service.start()
-        base = runtime_stats_snapshot()
         tasks = [asyncio.ensure_future(
             service.submit(ServeRequest("sign", "P-192")))
             for _ in range(6)]
@@ -164,8 +154,6 @@ def test_backpressure_sheds_typed_not_timeout():
         counters = await service.stop()
         assert counters["requests_shed"] == 4
         assert counters["requests_served"] == 2
-        assert (RUNTIME_STATS["requests_shed"]
-                - base["requests_shed"]) == 4
 
     asyncio.run(scenario())
 
@@ -216,9 +204,52 @@ def test_worker_loss_fails_batch_and_flushes_queue():
                    if isinstance(o, WorkerFailure)]
         assert len(flushed) == 2
         counters = await service.stop()
-        assert counters["requests_failed"] == 1
+        # every admitted request that got no ok response failed
+        assert counters["requests_failed"] == 3
+        assert counters["admitted"] == 3
         assert counters["worker_deaths"] == 1
         assert counters["queue_depth"] == 0
+
+    asyncio.run(scenario())
+
+
+def test_last_worker_loss_closes_admission():
+    """The last worker dying with an empty queue must still close
+    admission: a later request is refused, typed, not left hanging."""
+
+    async def scenario():
+        service = _service(die_on_batch=True)
+        await service.start()
+        response = await service.submit(ServeRequest("sign", "P-192"))
+        assert not response.ok
+        await asyncio.sleep(0)          # the dispatcher exits
+        with pytest.raises(ServiceDraining):
+            await asyncio.wait_for(
+                service.submit(ServeRequest("sign", "P-192")), 1.0)
+        counters = await service.stop()
+        assert counters["admitted"] == 1
+        assert counters["requests_failed"] == 1
+
+    asyncio.run(scenario())
+
+
+def test_loadgen_counts_flushed_requests_as_failed():
+    """Requests flushed after the last worker died are failures in the
+    generator's books and in the service's, and the books balance."""
+
+    async def scenario():
+        service = _service(die_on_batch=True, max_batch=1)
+        await service.start()
+        report = await run_load(service, LoadConfig(
+            requests=5, rate_rps=0.0, seed=3))
+        assert report.offered == 5
+        assert report.completed == 0 and report.failed == 5
+        counters = service.counters()
+        assert counters["admitted"] == 5
+        assert counters["requests_served"] == 0
+        assert counters["requests_failed"] == 5
+        assert report.reconcile(counters) == []
+        await service.stop()
 
     asyncio.run(scenario())
 
