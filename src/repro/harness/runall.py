@@ -119,45 +119,6 @@ def _run_kernel_profile(spec: str, dump: pathlib.Path | None = None) -> None:
         print(stacks)
 
 
-def _run_batch(lanes: int, kernel_specs: list[str]) -> None:
-    from repro.pete.lanes import HAVE_NUMPY
-
-    if not HAVE_NUMPY:
-        raise SystemExit("runall: --batch requires numpy")
-    from repro.api import BatchItem, compute_batch
-
-    items = []
-    for spec in kernel_specs:
-        name, k = _parse_spec(spec, DEFAULT_TRACE_KERNEL, 2,
-                              "--kernels")
-        items.extend(BatchItem(name, "kernel", int(k))
-                     for _ in range(lanes))
-    result = compute_batch(items)
-    groups: dict[tuple[str, int], list] = {}
-    for lane in result.lanes:
-        if not lane.ok:
-            raise SystemExit(f"runall: batch lane "
-                             f"{lane.item.label} failed: {lane.error}")
-        payload = lane.payload
-        groups.setdefault((payload["kernel"], payload["k"]),
-                          []).append(lane)
-    print(f"batch execution: {lanes} lane(s) per kernel")
-    for (name, k), group in groups.items():
-        wall = sum(lane.wall_s for lane in group)
-        cyc = [lane.payload["cycles"] for lane in group]
-        rate = len(group) / wall if wall > 0 else float("inf")
-        print(f"  {name}:{k}  lanes={len(group)}  "
-              f"cycles[min/mean/max]={min(cyc)}/"
-              f"{sum(cyc) // len(cyc)}/{max(cyc)}  "
-              f"wall={wall * 1e3:.2f} ms  rate={rate:,.0f} lanes/s")
-    counters = result.stats.get("lane_engine") or {}
-    shown = {key: value for key, value in sorted(counters.items())
-             if value}
-    if shown:
-        print("  engine: " + ", ".join(f"{key}={value}"
-                                       for key, value in shown.items()))
-
-
 def _run_trace(path: pathlib.Path, spec: str) -> None:
     from repro.trace.chrome import write_chrome_trace
 
@@ -238,17 +199,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="telemetry export directory (implies "
                              "--obs; default results/telemetry or "
                              "$REPRO_OBS_DIR)")
-    parser.add_argument("--batch", type=int, default=None,
-                        metavar="LANES",
-                        help="instead of rendering artifacts, run the "
-                             "kernels named by --kernels lock-step on "
-                             "the numpy lane engine, LANES instances "
-                             "each, and print a throughput summary "
-                             "(requires numpy)")
-    parser.add_argument("--kernels", nargs="+", default=None,
-                        metavar="NAME:K",
-                        help="kernel instances for --batch (default "
-                             f"{DEFAULT_TRACE_KERNEL})")
     args = parser.parse_args(argv)
 
     if args.profile or args.profile_kernel or args.trace:
@@ -258,12 +208,6 @@ def main(argv: list[str] | None = None) -> int:
             _run_kernel_profile(args.profile_kernel, args.profile_json)
         if args.trace:
             _run_trace(args.trace, args.trace_kernel)
-        return 0
-
-    if args.batch is not None:
-        if args.batch < 1:
-            raise SystemExit("runall: --batch LANES must be >= 1")
-        _run_batch(args.batch, args.kernels or [DEFAULT_TRACE_KERNEL])
         return 0
 
     root = None

@@ -12,7 +12,6 @@ other's entries (the ISA feature set is implied by the kernel name).
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -67,38 +66,6 @@ _SHARED_CACHE: dict[tuple, KernelResult] = {}
 #: time.  The Assembled object is immutable after construction, so
 #: sharing one instance across cores (and across runners) is safe.
 _ASSEMBLED_MEMO = BoundedMemo(256)
-
-
-@dataclass(frozen=True)
-class BatchKernelResult:
-    """Per-lane timing of one lane-engine batch run.
-
-    Cycle/instruction counts are per lane (distinct operands per lane,
-    so branchy kernels legitimately differ across lanes); ``engine``
-    carries the lane engine's divergence/fallback accounting and
-    ``wall_s`` the host wall-clock for the whole batch.
-    """
-
-    name: str
-    k: int
-    lanes: int
-    cycles: tuple[int, ...]
-    instructions: tuple[int, ...]
-    wall_s: float
-    engine: dict
-
-    @property
-    def total_instructions(self) -> int:
-        return sum(self.instructions)
-
-    @property
-    def mean_cycles(self) -> float:
-        return sum(self.cycles) / len(self.cycles)
-
-    @property
-    def lanes_per_second(self) -> float:
-        """Completed kernel instances per host second."""
-        return self.lanes / self.wall_s if self.wall_s > 0 else 0.0
 
 
 class _CapturedRun(Exception):
@@ -234,33 +201,6 @@ class KernelRunner:
             cores.append(cpu)
         assert entry is not None
         return cores, entry
-
-    def measure_batch(self, name: str, k: int, lanes: int,
-                      max_cycles: int = 50_000_000) -> BatchKernelResult:
-        """Run ``lanes`` instances lock-step on the lane engine.
-
-        Simulated per-lane cycle counts are bit-identical to ``lanes``
-        scalar runs (gated by ``repro.pete.diffexec --lanes``); only
-        host wall-clock changes.  Requires numpy.
-        """
-        from repro import obs
-        from repro.pete.lanes import LaneEngine
-
-        cores, entry = self.prepare_lanes(name, k, lanes)
-        with obs.span("lanes.batch", kernel=f"{name}:{k}",
-                      lanes=str(lanes)):
-            t0 = time.perf_counter()
-            eng = LaneEngine(cores)
-            eng.run(entry, max_cycles=max_cycles)
-            wall = time.perf_counter() - t0
-        return BatchKernelResult(
-            name=name, k=k, lanes=lanes,
-            cycles=tuple(eng.lane_cycle(i) for i in range(lanes)),
-            instructions=tuple(
-                eng.lane_instructions(i) for i in range(lanes)),
-            wall_s=wall,
-            engine=eng.counters(),
-        )
 
     def _launch(self, cpu: Pete, entry: int):
         """Every kernel builder starts its cpu through this hook, so

@@ -23,7 +23,6 @@ from repro.pete.assembler import AssemblyError, assemble
 from repro.pete.cpu import Pete, Program
 from repro.pete.icache import ICache, ICacheConfig
 from repro.pete.isa import PeteISA
-from repro.pete.lanes import HAVE_NUMPY, LaneEngine
 from repro.pete.stats import CoreStats
 
 __all__ = [
@@ -35,6 +34,4 @@ __all__ = [
     "ICache",
     "ICacheConfig",
     "CoreStats",
-    "HAVE_NUMPY",
-    "LaneEngine",
 ]

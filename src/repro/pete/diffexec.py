@@ -25,7 +25,8 @@ Usage::
         --kernels os_mul:8 comb_mul:6 scalar_ladder:16
 
 runs the named kernels (default: a representative set covering the
-prime-field, binary-field, scalar and symmetric kernel families),
+prime-field, binary-field, scalar and symmetric kernel families, and
+every kernel the signing service serves),
 prints one summary line per kernel and exits non-zero on the first
 divergence.  ``--report PATH`` writes the full report (divergence
 details included) for CI to upload.
@@ -42,10 +43,14 @@ from repro.pete.fastpath import Fastpath
 from repro.pete.stats import CoreStats
 
 #: One kernel per family: prime-field school/product-scanning, NIST
-#: reduction, binary-field comb + squaring, scalar loops, symmetric.
+#: reduction, binary-field comb + squaring, scalar loops, symmetric;
+#: plus every kernel plan the signing service runs
+#: (:data:`repro.serve.types.PLANS`).
 DEFAULT_KERNELS = (
-    "mp_add:8", "os_mul:8", "ps_mul_ext:8", "red_p192:6",
+    "mp_add:8", "os_mul:8", "os_mul:6", "ps_mul_ext:8", "red_p192:6",
+    "fmul_p192:6",
     "comb_mul:6", "ps_mulgf2:6", "bsqr_table:6", "red_b163:6",
+    "fmul_b163:6",
     "scalar_daa:16", "scalar_ladder:16", "speck64:1",
 )
 
@@ -426,7 +431,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--kernels", nargs="*", metavar="NAME:K",
                         default=list(DEFAULT_KERNELS),
                         help="kernels to verify (default: one per "
-                             "kernel family)")
+                             "kernel family plus the serve plans)")
     parser.add_argument("--report", metavar="PATH", default=None,
                         help="write the full report (with divergence "
                              "details) to this file")

@@ -46,6 +46,7 @@ median-of-three trials) compile each block once per process.
 from __future__ import annotations
 
 import time
+import weakref
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro import obs
@@ -363,7 +364,10 @@ class Fastpath:
     """Discovers, compiles and caches superblocks for one core."""
 
     def __init__(self, cpu: "Pete") -> None:
-        self._cpu = cpu
+        # weak, like ``mem.clock``: the core holds its Fastpath, so a
+        # strong back-reference would leave every core that ran (256 KB
+        # of ROM each) to the cycle collector
+        self._cpu = weakref.proxy(cpu)
         #: entry PC -> closure, or None where no block applies (block
         #: boundaries and too-short runs); shared with other cores
         #: running the same program under the same configuration

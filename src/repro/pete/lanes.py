@@ -34,7 +34,11 @@ matches the reference interpreter cycle-for-cycle and bit-for-bit,
 which ``repro.pete.diffexec --lanes`` gates per lane at every unit
 boundary.
 
-numpy is an optional dependency: import of this module always
+Lanes only pay off in wide batches (the crossover against per-core
+:meth:`~repro.pete.cpu.Pete.run` lies between 8 and 16 lanes), so the
+signing service's worker (:mod:`repro.serve.worker`) is the engine's
+one production route; the :mod:`repro.pete` package does not import
+it.  numpy is an optional dependency: import of this module always
 succeeds; constructing an engine without numpy raises a clear error
 (see :func:`require_numpy` / :data:`HAVE_NUMPY`).
 """

@@ -15,8 +15,11 @@ invalidates exactly the artifacts that can reach the edit.
 * :mod:`repro.sweep.engine` -- the process-pool executor (per-task
   timeout, bounded retry, failed-task skip, ledger records).
 
-CLI: ``python -m repro.sweep`` (cached, parallel ``runall``); library:
-:func:`repro.api.sweep`.
+Every task is one artifact; simulated kernels inside a task run on the
+scalar fast path (:meth:`repro.pete.cpu.Pete.run`).  CLI: ``python -m
+repro.sweep`` (cached, parallel ``runall``); library:
+:func:`repro.api.sweep`, and :func:`repro.api.compute_artifact` with
+``cache``/``cache_dir``/``jobs`` (a one-spec engine run).
 """
 
 from repro.sweep.cache import ResultCache, default_cache_dir

@@ -273,72 +273,6 @@ class SweepEngine:
         result.counts = dict(moved)
         return result
 
-    def run_lanes(self, kernels, runner=None) -> SweepResult:
-        """Fan homogeneous kernel tasks across in-process numpy lanes
-        instead of worker processes.
-
-        ``kernels`` is an iterable of ``(name, k, lanes)`` triples;
-        each runs as one lock-step batch on the lane engine
-        (:mod:`repro.pete.lanes`), which beats a process pool whenever
-        the fleet is many instances of *one* program: state stays in
-        dense arrays, dispatch is amortized over the batch, and there
-        is no fork/pickle cost.  One :class:`TaskOutcome` per triple
-        (``payload`` carries the per-lane cycle/instruction vectors and
-        the engine's divergence accounting); one ledger record each,
-        like :meth:`run`.
-        """
-        from repro.kernels.runner import KernelRunner
-
-        kernels = list(kernels)
-        if runner is None:
-            runner = KernelRunner(ledger=self.ledger,
-                                  calibration=self.calibration)
-        outcomes: list[TaskOutcome] = []
-        with obs.span("sweep.lanes", tasks=str(len(kernels))):
-            for name, k, lanes in kernels:
-                start = time.perf_counter()
-                try:
-                    batch = runner.measure_batch(name, k, lanes)
-                except Exception as exc:
-                    outcome = TaskOutcome(
-                        "kernel", f"{name}:{k}", "failed",
-                        wall_s=time.perf_counter() - start,
-                        attempts=1,
-                        error=f"{type(exc).__name__}: {exc}")
-                else:
-                    outcome = TaskOutcome(
-                        "kernel", f"{name}:{k}", "computed",
-                        wall_s=time.perf_counter() - start,
-                        attempts=1,
-                        payload={
-                            "lanes": lanes,
-                            "cycles": list(batch.cycles),
-                            "instructions": list(batch.instructions),
-                            "engine": batch.engine,
-                            "wall_s": batch.wall_s,
-                        })
-                outcomes.append(outcome)
-                self.ledger.append(self._record_lanes(outcome))
-                self._note_outcome(outcome, emit_span=True)
-        return SweepResult(outcomes, jobs=1)
-
-    def _record_lanes(self, outcome: TaskOutcome) -> dict:
-        from repro.trace.record import bench_record
-
-        payload = outcome.payload or {}
-        return bench_record(
-            outcome.artifact, kind="lanes",
-            config=f"lanes={payload.get('lanes', 0)}",
-            cycles=sum(payload.get("cycles", ())),
-            energy_uj=0.0,
-            wall_s=outcome.wall_s,
-            data={
-                "status": outcome.status,
-                "error": outcome.error,
-                "engine": payload.get("engine"),
-            },
-        )
-
     def _note_outcome(self, outcome: TaskOutcome,
                       emit_span: bool = False) -> None:
         """Per-task telemetry: status counter, latency histogram,

@@ -2,12 +2,16 @@
 
 These tests pin contracts rather than behavior: ``repro.api.__all__``
 is the supported import surface (docs/API.md documents exactly these
-names), and :mod:`repro.harness.registry` privates stay private --
-no other module under ``src/`` may import or reference them.
+names), :mod:`repro.harness.registry` privates stay private -- no
+other module under ``src/`` may import or reference them -- and removed
+names and options stay removed.
 """
 
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -15,10 +19,6 @@ import repro.api as api
 
 EXPECTED_API = [
     "ArtifactSpec",
-    "BatchItem",
-    "BatchLane",
-    "BatchRequest",
-    "BatchResult",
     "RequestShed",
     "ServeConfig",
     "ServeRequest",
@@ -29,7 +29,6 @@ EXPECTED_API = [
     "SweepResult",
     "UnknownArtifactError",
     "compute_artifact",
-    "compute_batch",
     "open_session",
     "serve_session",
     "sweep",
@@ -96,7 +95,61 @@ def test_fast_knob_is_gone():
 
     with pytest.raises(TypeError):
         api.compute_artifact("7.5", fast=True)
-    for build in (KernelRunner, SweepEngine, ServeConfig,
-                  api.BatchRequest.artifacts):
+    for build in (KernelRunner, SweepEngine, ServeConfig):
         with pytest.raises(TypeError):
             build(fast=True)
+
+
+def test_batch_first_routes_are_gone():
+    """The lane engine runs only under the serve worker (plus
+    ``diffexec --lanes`` and the lane benchmark): the batch-first facade
+    and every other lane route must fail loudly, not half-resolve."""
+    import repro.kernels.runner as runner
+    import repro.pete as pete
+    from repro.sweep.engine import SweepEngine
+
+    gone = [(api, "BatchItem"), (api, "BatchLane"), (api, "BatchRequest"),
+            (api, "BatchResult"), (api, "compute_batch"),
+            (api.Session, "compute_batch"), (SweepEngine, "run_lanes"),
+            (SweepEngine, "_record_lanes"),
+            (runner.KernelRunner, "measure_batch"),
+            (runner, "BatchKernelResult"), (pete, "LaneEngine"),
+            (pete, "HAVE_NUMPY")]
+    for owner, name in gone:
+        with pytest.raises(AttributeError):
+            getattr(owner, name)
+    with pytest.raises(TypeError):
+        api.sweep(only=["table_7.3"], cache=False, lanes=4)
+
+
+def test_runall_batch_options_are_argparse_errors(capsys):
+    from repro.harness.runall import main
+
+    for argv in (["--batch", "4"], ["--kernels", "os_mul:8"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    usage = capsys.readouterr().out
+    assert "--batch" not in usage and "--kernels" not in usage
+
+
+def test_catalog_and_facade_leave_the_lane_engine_unloaded():
+    """Building the catalog and importing the facade, the kernel runner
+    and runall must not load :mod:`repro.pete.lanes` or numpy (a fresh
+    interpreter, so no other test's imports count)."""
+    code = (
+        "import sys\n"
+        "from repro.harness.registry import registry\n"
+        "registry()\n"
+        "import repro.api, repro.kernels.runner, repro.harness.runall\n"
+        "print([m for m in ('repro.pete.lanes', 'numpy')"
+        " if m in sys.modules])\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

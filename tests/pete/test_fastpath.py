@@ -1,6 +1,8 @@
 """Superblock fast path: exactness, cache invalidation, deopt."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -156,6 +158,22 @@ def test_config_change_rebinds_block_map():
     fastpath.lookup(entry)
     assert fastpath._key != key_before
     assert fastpath._config == fastpath._fingerprint()
+
+
+def test_core_that_ran_is_freed_without_the_cycle_collector():
+    """The core owns its Fastpath and the Fastpath only points back
+    weakly, so dropping the last outside reference frees a core that
+    ran (256 KB of ROM) at once instead of at the next gc pass."""
+    cpu, program = _fresh(LOOP)
+    gc.disable()
+    try:
+        cpu.run(program.address_of("main"))
+        assert cpu.fastpath is not None
+        alive = weakref.ref(cpu)
+        del cpu
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_deopt_under_mid_run_trace_attach():

@@ -1,4 +1,4 @@
-"""Lane-parallel engine: bit-identity, divergence fallback, batch API.
+"""Lane-parallel engine: bit-identity, divergence fallback, runner batches.
 
 Every test here needs numpy (the engine's dense per-lane state); the
 module skips cleanly on interpreters without it.
@@ -127,26 +127,30 @@ def test_single_lane_batch_works():
 
 
 # ---------------------------------------------------------------------------
-# runner batch path
+# runner-prepared batches
 # ---------------------------------------------------------------------------
 
 
 def test_measure_batch_reports_per_lane_results():
+    """``prepare_lanes`` + :class:`LaneEngine`: one result per lane."""
     runner = KernelRunner(cache={})
-    batch = runner.measure_batch("os_mul", 8, lanes=6)
-    assert batch.lanes == 6
-    assert len(batch.cycles) == 6
-    assert len(batch.instructions) == 6
-    assert batch.total_instructions == sum(batch.instructions)
-    assert batch.engine["lanes"] == 6
-    assert batch.lanes_per_second > 0
+    cores, entry = runner.prepare_lanes("os_mul", 8, 6)
+    eng = LaneEngine(cores).run(entry)
+    assert eng.counters()["lanes"] == 6
+    assert all(eng.lane_done(i) for i in range(6))
+    assert all(eng.lane_cycle(i) > 0 for i in range(6))
+    assert all(eng.lane_instructions(i) > 0 for i in range(6))
 
 
 def test_measure_batch_matches_scalar_measure():
+    """Lane cycles equal the scalar path's: each lane's reference
+    clone, and ``measure`` of the (constant-time) kernel."""
     runner = KernelRunner(cache={})
     cores, entry = runner.prepare_lanes("ps_mul_ext", 8, 4)
     refs = [core.clone() for core in cores]
-    batch = KernelRunner(cache={})  # fresh RNG: same lane operands
-    result = batch.measure_batch("ps_mul_ext", 8, lanes=4)
-    expected = tuple(run_reference(ref, entry).cycles for ref in refs)
-    assert result.cycles == expected
+    eng = LaneEngine(cores).run(entry)
+    cycles = tuple(int(eng.lane_cycle(i)) for i in range(4))
+    assert cycles == tuple(run_reference(ref, entry).cycles
+                           for ref in refs)
+    scalar = KernelRunner(cache={}).measure("ps_mul_ext", 8)
+    assert cycles == (scalar.cycles,) * 4

@@ -1,11 +1,11 @@
-"""The public facade: batch engine, scalar wrappers, sessions."""
+"""The public facade: artifacts, sweeps, sessions."""
 
 import dataclasses
 
 import pytest
 
-from repro.api import BatchItem, BatchRequest, UnknownArtifactError, \
-    compute_artifact, compute_batch, open_session, sweep
+from repro.api import UnknownArtifactError, compute_artifact, \
+    open_session, sweep
 from repro.energy.calibration import CALIBRATION
 
 
@@ -87,8 +87,8 @@ def test_pooled_session_sweep_prices_with_its_calibration(tmp_path):
 
 
 def test_scalar_wrapper_is_identical_to_direct_production():
-    """compute_artifact is a batch-of-one now; its payload must stay
-    identical (modulo wall clock) to producing the spec directly."""
+    """compute_artifact's payload is identical (modulo wall clock) to
+    producing the spec directly."""
     from repro.harness.registry import get_spec
 
     assert _stable(compute_artifact("table_7.3")) == \
@@ -113,45 +113,28 @@ def test_scalar_wrapper_still_propagates_producer_errors():
         api._resolve = orig
 
 
-def test_compute_batch_mixed_artifacts_and_order():
-    result = compute_batch([BatchItem("table_7.3"),
-                            BatchItem("figure_7.4")])
-    assert result.ok and len(result) == 2
-    assert result.lanes[0].payload["text"].startswith("Table 7.3")
-    assert result.lanes[0].item.name == "table_7.3"
-    assert result.lanes[1].item.name == "figure_7.4"
-    assert result.stats["computed"] == 2
-    assert result.stats["failed"] == 0
+def test_compute_artifact_caches_through_the_engine(tmp_path,
+                                                   monkeypatch):
+    """``cache_dir`` runs a one-spec sweep engine: the warm call is
+    served from the cache (the producer is never reached), and a task
+    that keeps failing raises instead of returning."""
+    from repro.harness.registry import get_spec
+    from repro.sweep import engine
+
+    cold = compute_artifact("table_7.3", cache_dir=tmp_path)
+    assert _stable(cold) == _stable(get_spec("table", "7.3").payload())
+
+    def boom(kind, name, calibration=None):
+        raise ValueError("producer exploded")
+
+    monkeypatch.setattr(engine, "_compute_payload", boom)
+    assert compute_artifact("table_7.3", cache_dir=tmp_path) == cold
+    with pytest.raises(RuntimeError, match="producer exploded"):
+        compute_artifact("figure_7.4", cache_dir=tmp_path)
 
 
-def test_compute_batch_kernel_fleet():
-    pytest.importorskip("numpy")
-    result = compute_batch(BatchRequest.kernels("os_mul", 8, lanes=6))
-    assert result.ok and len(result) == 6
-    for j, lane in enumerate(result.lanes):
-        assert lane.payload["kernel"] == "os_mul"
-        assert lane.payload["lane"] == j
-        assert lane.payload["cycles"] > 0
-    assert result.stats["lane_engine"]["lanes"] == 6
-
-
-def test_compute_batch_accepts_strings_and_overrides(tmp_path):
-    result = compute_batch(["table_7.3"], cache=True,
-                           cache_dir=tmp_path)
-    assert result.ok
-    assert result.sweep is not None
-    warm = compute_batch(["table_7.3"], cache=True, cache_dir=tmp_path)
-    assert warm.lanes[0].status == "hit"
-    assert warm.stats["hits"] == 1
-
-
-def test_compute_batch_kernel_item_requires_k():
-    with pytest.raises(ValueError, match="needs k="):
-        compute_batch([BatchItem("os_mul", "kernel")])
-
-
-def test_sweep_remains_byte_identical_through_batch(tmp_path):
-    """The batch re-plumbing must not change what sweep returns."""
+def test_sweep_payload_equals_direct_production():
+    """What sweep returns is what the spec produces directly."""
     from repro.harness.registry import get_spec
 
     result = sweep(only=["table_7.3"], cache=False)
