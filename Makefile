@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test lint bench profile diffexec lanes artifacts sweep sweep-clean serve compare regress baseline examples all
+.PHONY: install test lint bench profile diffexec artifacts sweep sweep-clean serve compare regress baseline examples all
 
 install:
 	pip install -e .
@@ -28,29 +28,21 @@ bench:
 	pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
 # Observability smoke: profiled Table 7.1 subset, per-symbol kernel
-# profile, Chrome trace, and the BENCH_smoke.json + BENCH_fastpath.json
-# + BENCH_obs.json records (reference vs fast-path timings, and the
-# telemetry plane's enabled-path cost).
+# profile, Chrome trace, and the BENCH_smoke.json + BENCH_obs.json
+# records (the latter: the telemetry plane's enabled-path cost).
 profile:
 	PYTHONPATH=src python benchmarks/smoke_profile.py results/smoke
-	PYTHONPATH=src python benchmarks/bench_fastpath.py results/smoke
 	PYTHONPATH=src python benchmarks/bench_obs.py results/smoke
 	PYTHONPATH=src python -m repro.harness.runall --profile
 
-# Lock-step differential verification of the superblock fast path
-# (mirrors the fastpath-diff CI job over the default kernel set).
+# Per-lane lock-step verification of the batched lane engine against
+# the reference interpreter at batch 1/4/64 over the default kernel
+# set, plus the batch throughput benchmark (mirrors the lanes-diff CI
+# job; requires numpy).
 diffexec:
 	PYTHONPATH=src python -m repro.pete.diffexec \
 		--report results/diffexec-report.txt
-
-# Per-lane verification of the batched lane engine at batch 1/4/64
-# plus the batch throughput benchmark (mirrors the lanes-diff CI job;
-# requires numpy).
-lanes:
-	PYTHONPATH=src python -m repro.pete.diffexec --lanes 1 4 64 \
-		--report results/lanes-diff-report.txt
-	PYTHONPATH=src python benchmarks/bench_fastpath.py results/smoke \
-		--batch
+	PYTHONPATH=src python benchmarks/bench_lanes.py results/smoke
 
 artifacts:
 	python -m repro.harness.runall --out results --csv

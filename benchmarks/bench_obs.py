@@ -1,13 +1,12 @@
 """Telemetry-plane cost benchmark (BENCH_obs.json).
 
-Times the warm superblock fast path on the Table 7.1 GF(p) kernel
-subset three ways: telemetry disabled (the production default -- the
-null guard must make this indistinguishable from pre-telemetry code),
-telemetry enabled (spans + counters live), and telemetry enabled with
-a ``pete.kernel`` span wrapped around every run (the worst realistic
-case: one span per task, as the sweep engine does).  The disabled/
-baseline ratio is the number the ``tests/obs/test_overhead`` guard
-bounds at 1.05x; the enabled ratios document what ``--obs`` costs.
+Times ``Pete.run`` on the Table 7.1 GF(p) kernel subset three ways:
+telemetry disabled (the production default), telemetry enabled (spans
++ counters live), and telemetry enabled with a ``pete.kernel`` span
+wrapped around every run (the worst realistic case: one span per task,
+as the sweep engine does).  The enabled ratios document what ``--obs``
+costs around a kernel run; the disabled path's cost is bounded by the
+``tests/obs/test_overhead`` guard at 1.05x.
 
 Usage: ``PYTHONPATH=src python benchmarks/bench_obs.py [OUT_DIR]``
 (default ``results/smoke``).
@@ -19,7 +18,7 @@ import pathlib
 import sys
 import time
 
-#: Table 7.1 GF(p) kernel subset (same as benchmarks/bench_fastpath.py)
+#: Table 7.1 GF(p) kernel subset (same as benchmarks/bench_lanes.py)
 KERNELS = (
     ("mp_add", 8), ("mp_sub", 8), ("os_mul", 8),
     ("ps_mul_ext", 8), ("ps_sqr_ext", 8), ("red_p192", 6),
@@ -61,7 +60,7 @@ def main(argv: list[str]) -> int:
           f"{'on+span':>9} {'on/off':>7} {'span/off':>8}")
     for name, k in KERNELS:
         cpu, entry = runner.prepare(name, k)
-        stats = cpu.clone().run(entry)   # warm the block map
+        stats = cpu.clone().run(entry)   # warm-up run
 
         t_off = _time_run(cpu, entry, spanned=False)
         obs.enable()
@@ -99,7 +98,7 @@ def main(argv: list[str]) -> int:
     from repro.trace.record import bench_record, write_record
 
     record = bench_record(
-        "obs", config="GF(p) subset, warm fast path",
+        "obs", config="GF(p) subset, Pete.run",
         cycles=sum(r["cycles"] for r in rows),
         wall_s=time.perf_counter() - t0,
         data={"kernels": rows,

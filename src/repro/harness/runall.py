@@ -22,7 +22,7 @@ Observability modes (instead of rendering artifacts):
 
 ``--obs`` (with artifact runs) additionally switches on the
 :mod:`repro.obs` telemetry plane: hierarchical wall-clock spans across
-the run and every pool worker plus cache/fastpath/task metrics,
+the run and every pool worker plus cache/task metrics,
 exported under ``--obs-out`` (default ``results/telemetry``) and
 summarized in a ``kind="telemetry"`` ledger record -- inspect with
 ``python -m repro.obs report``.
@@ -277,10 +277,6 @@ def main(argv: list[str] | None = None) -> int:
             "retries": result.retries,
             "reaped": result.reaped,
         }
-        # the catalog simulates on the scalar fast path: its counts
-        # are the stats' stable keys (the same names OpenMetrics uses)
-        stats.update((name, n) for name, n in result.counts.items()
-                     if name.startswith("fastpath_"))
         args.stats_json.parent.mkdir(parents=True, exist_ok=True)
         args.stats_json.write_text(
             json.dumps(stats, sort_keys=True) + "\n")

@@ -3,8 +3,8 @@
 Where :mod:`repro.trace` observes the *simulated hardware* (cycles,
 stalls, energy events on the trace bus), this module observes the
 *system that runs it*: the sweep engine and its pool workers, the
-content-addressed result cache, the superblock fast-path compiler, the
-public API and the ``runall`` CLI.
+content-addressed result cache, the lane engine's block compiler, the
+signing service, the public API and the ``runall`` CLI.
 
 The model mirrors the trace bus's null-guard contract:
 
@@ -275,17 +275,12 @@ class Telemetry:
 # ---------------------------------------------------------------------------
 
 #: Process-local counts of events that no single object owns, kept
-#: with telemetry on or off: the scalar fast path's shared block maps
-#: and code cache, its deopt runs, and the lane engine's code cache.
-#: Every other always-on count lives on the object whose callers read
-#: it (``LaneEngine.counters()``, ``SigningService.counters()``,
-#: ``ResultCache.hits``).  Only cold paths count here -- discovery,
-#: compilation, deopt -- never per-instruction execution.
+#: with telemetry on or off: the lane engine's process-wide code cache
+#: compiles and hits.  Every other always-on count lives on the object
+#: whose callers read it (``LaneEngine.counters()``,
+#: ``SigningService.counters()``, ``ResultCache.hits``).  Only cold
+#: paths count here -- compilation, never per-instruction execution.
 _COUNTS: dict[str, int] = dict.fromkeys((
-    "fastpath_blocks_discovered",
-    "fastpath_blocks_compiled",
-    "fastpath_code_cache_hits",
-    "fastpath_deopt_runs",
     "lane_blocks_compiled",
     "lane_code_cache_hits",
 ), 0)

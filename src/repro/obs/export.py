@@ -279,7 +279,7 @@ def telemetry_record(snapshot: dict, artifact: str = "telemetry",
                      config: str = "", export_path: str | None = None
                      ) -> dict:
     """A ``kind="telemetry"`` ledger record summarizing the snapshot:
-    headline cache/fastpath/task metrics in ``data`` plus the span
+    headline cache/task metrics in ``data`` plus the span
     count, so the regression ledger can diff runtime health between
     commits without parsing the full export."""
     from repro.trace.record import bench_record
@@ -304,15 +304,6 @@ def telemetry_record(snapshot: dict, artifact: str = "telemetry",
             "read_bytes": _metric_value(registry, "sweep_cache_read_bytes"),
             "written_bytes": _metric_value(registry,
                                            "sweep_cache_written_bytes"),
-        },
-        "fastpath": {
-            "blocks_compiled": _metric_value(registry,
-                                             "fastpath_blocks_compiled"),
-            "code_cache_hits": _metric_value(registry,
-                                             "fastpath_code_cache_hits"),
-            "blocks_discovered": _metric_value(registry,
-                                               "fastpath_blocks_discovered"),
-            "deopt_runs": _metric_value(registry, "fastpath_deopt_runs"),
         },
         "tasks": _metric_value(registry, "sweep_tasks_total"),
         "retries": _metric_value(registry, "sweep_retries_total"),

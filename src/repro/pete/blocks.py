@@ -1,22 +1,20 @@
-"""The block front end shared by Pete's two block-threaded engines.
+"""The block front end of the lane engine.
 
-The scalar superblock fast path (:mod:`repro.pete.fastpath`) and the
-lane engine (:mod:`repro.pete.lanes`) compile the same unit: a maximal
+The lane engine (:mod:`repro.pete.lanes`) compiles one unit: a maximal
 straight-line run of *compilable* instructions, entered at a pc and
 left at the next branch, jump, COP2 command or trap.  Everything about
-such a run that does not depend on how an engine holds its state lives
-here, once:
+such a run that does not depend on how the engine holds its state
+lives here:
 
 * :func:`discover` decodes forward from a pc while the mnemonic is in
   :data:`COMPILABLE`, at most :data:`MAX_BLOCK_LEN` instructions;
-* :func:`close_blocks` drives an engine's block map to closure over
-  statically known block starts (the ``precompile`` passes);
-* :func:`timing` is the static timing pass both emitters fold into
-  their closures;
+* :func:`close_blocks` drives a block map to closure over statically
+  known block starts (the ``precompile`` pass);
+* :func:`timing` is the static timing pass the emitter folds into its
+  closures;
 * :class:`BoundedMemo` is the size policy of every process-wide memo
   (compiled code, per-program block maps, assembled programs).
 
-Each engine keeps only its own per-mnemonic emitter.
 :mod:`repro.analysis.superblock` applies the same predicate statically.
 """
 
@@ -31,9 +29,6 @@ from repro.pete.isa import Decoded
 #: Discovery stops after this many instructions; execution simply
 #: continues in the follow-on block, so the cap only bounds codegen.
 MAX_BLOCK_LEN = 256
-#: Scalar blocks shorter than this are not worth a call; the reference
-#: interpreter handles them (a ``None`` entry in the block map).
-MIN_BLOCK_LEN = 2
 
 #: Mnemonics with straight-line semantics (compilable into blocks).
 #: Everything else -- branches, jumps, COP2/CTC2, break -- ends a block.

@@ -131,11 +131,8 @@ class Pete:
             self.icache.tracer = tracer
         #: the last program image loaded (symbol table for profilers)
         self.program: Assembled | None = None
-        #: superblock fast path (repro.pete.fastpath), built by
-        #: ``begin`` or attached by the diffexec harness
-        self.fastpath = None
         #: delay-slot bookkeeping of the stepping API
-        #: (``begin``/``step_unit``/``step_instruction``)
+        #: (``begin``/``step_instruction``)
         self._delay_target: int | None = None
         self._in_delay_slot = False
 
@@ -148,43 +145,25 @@ class Pete:
         self.mem.write_rom(program.base, data)
         self._decoded.clear()
         self.program = program
-        # after self.program is set: invalidation re-attaches the
-        # fast path to the *new* program's shared block map
-        if self.fastpath is not None:
-            self.fastpath.invalidate()
-
-    def flush_decoded(self) -> None:
-        """Drop the decoded-instruction cache (and, with it, every
-        compiled superblock -- the closures bake in decoded words)."""
-        self._decoded.clear()
-        if self.fastpath is not None:
-            self.fastpath.invalidate()
 
     def attach_tracer(self, tracer: "TraceBus | None") -> None:
         """Attach (or, with ``None``, detach) a trace bus mid-session.
 
-        Every component sees the new bus immediately; a running core
-        deoptimizes to the reference interpreter at the next superblock
-        boundary, so per-instruction events keep firing.
+        Every component sees the new bus immediately, so a running core
+        emits per-instruction events from its next instruction on.
         """
         self.tracer = tracer
         self.mem.tracer = tracer
         self.muldiv.tracer = tracer
         if self.icache is not None:
             self.icache.tracer = tracer
-        if tracer is not None and self.fastpath is not None:
-            # a core that has been running blocks will now deoptimize
-            # to the reference interpreter at the next block boundary
-            from repro.pete.fastpath import note_deopt
-
-            note_deopt()
 
     def clone(self) -> "Pete":
         """An independent copy of this core's full architectural state.
 
         Used by the lock-step differential harness
-        (:mod:`repro.pete.diffexec`) to run the reference and fast-path
-        interpreters on identical inputs.  Tracers are not carried over
+        (:mod:`repro.pete.diffexec`) to give every lane of a lane-engine
+        batch its own reference core.  Tracers are not carried over
         (attach one with :meth:`attach_tracer`), and coprocessors hold
         external state the core cannot copy.
         """
@@ -240,8 +219,8 @@ class Pete:
         """Reset execution state to start at ``entry``.
 
         ``run`` calls this internally; the stepping API
-        (:meth:`step_unit`, :meth:`step_instruction`) and the lock-step
-        drivers in :mod:`repro.pete.diffexec` call it directly.
+        (:meth:`step_instruction`) and the lock-step harness in
+        :mod:`repro.pete.diffexec` call it directly.
         """
         self.pc = entry
         self.regs[29] = RAM_BASE + self.mem.ram_size - 16  # $sp
@@ -249,15 +228,11 @@ class Pete:
         self._pending_target = None
         self._delay_target = None
         self._in_delay_slot = False
-        if self.fastpath is None:
-            from repro.pete.fastpath import Fastpath
-
-            self.fastpath = Fastpath(self)
 
     def step_instruction(self) -> bool:
-        """Execute one instruction on the reference interpreter,
-        including delay-slot bookkeeping; returns ``False`` once a
-        ``break`` retires (the core has halted)."""
+        """Execute one instruction, including delay-slot bookkeeping;
+        returns ``False`` once a ``break`` retires (the core has
+        halted)."""
         try:
             self._step()
         except Halt:
@@ -273,43 +248,15 @@ class Pete:
             self._in_delay_slot = True
         return True
 
-    def step_unit(self) -> bool:
-        """Advance one unit: the compiled superblock at ``pc`` when one
-        applies (no pending delay slot, no tracing), else one
-        :meth:`step_instruction`.  Returns ``False`` once a ``break``
-        retires.  The deopt conditions are checked on every unit, so a
-        tracer attached mid-run takes effect at the next block
-        boundary."""
-        if (not self._in_delay_slot and self.tracer is None
-                and not self.trace_enabled):
-            block = self.fastpath.lookup(self.pc)
-            if block is not None:
-                block(self)
-                return True
-        return self.step_instruction()
-
     def run(self, entry: int, max_cycles: int = 50_000_000) -> CoreStats:
-        """Run from ``entry`` until a ``break`` retires.
-
-        Execution is block-threaded (:meth:`step_unit`): straight-line
-        runs execute as compiled closures (:mod:`repro.pete.fastpath`)
-        with identical architectural state, stats and energy activity.
-        With a tracer attached (or ``trace_enabled``) every unit is one
-        reference instruction, so per-instruction events still fire.
-        ``max_cycles`` is checked between units, i.e. at block rather
-        than instruction granularity.  The reference interpreter alone
-        runs through :func:`repro.pete.diffexec.run_reference`.
-        """
+        """Run from ``entry`` until a ``break`` retires, one
+        :meth:`step_instruction` at a time; raises ``RuntimeError``
+        once ``max_cycles`` pass without a halt (checked after every
+        instruction)."""
         self.begin(entry)
-        if self.tracer is not None or self.trace_enabled:
-            # the whole run steps the reference interpreter (counted
-            # once here, never inside the loop)
-            from repro.pete.fastpath import note_deopt
-
-            note_deopt()
-        step_unit = self.step_unit
+        step = self.step_instruction
         while self.cycle < max_cycles:
-            if not step_unit():
+            if not step():
                 return self.stats
         raise RuntimeError(f"program did not halt within {max_cycles} cycles")
 

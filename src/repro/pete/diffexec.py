@@ -1,35 +1,32 @@
-"""Lock-step differential verification of the block-threaded engines.
+"""Lock-step differential verification of the lane engine.
 
-Runs the block-threaded core (:meth:`repro.pete.cpu.Pete.step_unit`,
-superblocks from :mod:`repro.pete.fastpath`) and the reference
-interpreter side by side on identical inputs: the fast core advances
-one *unit* at a time (a compiled superblock, or a single reference
-instruction where no block applies), the reference core is then
-stepped by the same number of instructions, and the complete
-architectural state -- PC, registers, cycle, every ``CoreStats``
-counter, the Hi/Lo/OvFlo accumulator, RAM contents, the branch
-predictor and the load-use latch -- is compared at every unit
-boundary.  The first divergence is reported with disassembly context
-around the offending PC.  :func:`run_reference` is the whole run on
-the reference interpreter alone, the oracle tests and benchmarks
-compare ``Pete.run`` against.
+Runs a batch of prepared cores through the lane engine
+(:class:`repro.pete.lanes.LaneEngine`) and each core's clone on the
+reference interpreter side by side: the engine advances one *unit* at
+a time (a vector block, or one control instruction plus its delay
+slot), every reference core is then stepped by the instructions its
+lane retired, and each lane's complete architectural state -- PC,
+registers, cycle, every ``CoreStats`` counter, the Hi/Lo/OvFlo
+accumulator, RAM contents, the branch predictor and the load-use
+latch -- is compared at every unit boundary.  The first divergence is
+reported with disassembly context around the offending PC.
 
-This is the correctness tool that lets interpreter work move fast: any
-change to the fast path (or the reference core) that breaks the
+This is the correctness tool that lets engine work move fast: any
+change to the lane engine (or the reference core) that breaks the
 stats/energy-exactness contract is localized to the first diverging
-block and quantity, not discovered as a wrong number in Table 7.1.
+lane, unit and quantity, not discovered as a wrong served number.
 
 Usage::
 
     PYTHONPATH=src python -m repro.pete.diffexec \\
-        --kernels os_mul:8 comb_mul:6 scalar_ladder:16
+        --kernels os_mul:8 comb_mul:6 --lanes 1 4 64
 
 runs the named kernels (default: a representative set covering the
 prime-field, binary-field, scalar and symmetric kernel families, and
-every kernel the signing service serves),
-prints one summary line per kernel and exits non-zero on the first
-divergence.  ``--report PATH`` writes the full report (divergence
-details included) for CI to upload.
+every kernel the signing service serves) at each batch width (default
+1, 4 and 64; requires numpy), prints one summary line per kernel and
+width and exits non-zero on a divergence.  ``--report PATH`` writes
+the full report (divergence details included) for CI to upload.
 """
 
 from __future__ import annotations
@@ -39,8 +36,6 @@ import sys
 from dataclasses import dataclass, field
 
 from repro.pete.cpu import Pete
-from repro.pete.fastpath import Fastpath
-from repro.pete.stats import CoreStats
 
 #: One kernel per family: prime-field school/product-scanning, NIST
 #: reduction, binary-field comb + squaring, scalar loops, symmetric;
@@ -57,12 +52,13 @@ DEFAULT_KERNELS = (
 
 @dataclass
 class Divergence:
-    """The first state mismatch between the two interpreters."""
+    """The first state mismatch between a reference core and the
+    engine under test."""
 
     what: str                  # e.g. "regs[$t0]", "cycle", "stats.cycles"
     ref_value: object
-    fast_value: object
-    pc: int                    # fast-core PC at the boundary
+    engine_value: object
+    pc: int                    # engine-side PC at the boundary
     instructions: int          # instructions retired when it surfaced
     context: str = ""          # disassembly window around the PC
 
@@ -71,7 +67,7 @@ class Divergence:
             f"divergence after {self.instructions} instructions "
             f"at pc=0x{self.pc:06x}:",
             f"  {self.what}: reference={self.ref_value!r} "
-            f"fast={self.fast_value!r}",
+            f"engine={self.engine_value!r}",
         ]
         if self.context:
             lines.append("  context:")
@@ -86,7 +82,7 @@ class DiffReport:
 
     label: str
     instructions: int = 0
-    blocks: int = 0            # superblock executions on the fast side
+    blocks: int = 0            # vector block executions
     boundaries: int = 0        # state comparisons performed
     divergence: Divergence | None = None
     notes: list[str] = field(default_factory=list)
@@ -97,7 +93,7 @@ class DiffReport:
 
     def summary(self) -> str:
         status = "ok" if self.ok else "DIVERGED"
-        return (f"{self.label:<18} {status:<9} "
+        return (f"{self.label:<22} {status:<9} "
                 f"{self.instructions:>9} instructions  "
                 f"{self.blocks:>6} blocks  "
                 f"{self.boundaries:>7} state compares")
@@ -111,21 +107,8 @@ class DiffReport:
 
 
 # ---------------------------------------------------------------------------
-# Stepping and comparison primitives
+# Comparison primitives
 # ---------------------------------------------------------------------------
-
-
-def run_reference(cpu: Pete, entry: int,
-                  max_cycles: int = 50_000_000) -> CoreStats:
-    """Run ``cpu`` from ``entry`` to its halt on the reference
-    interpreter alone, one :meth:`Pete.step_instruction` at a time --
-    the oracle :meth:`Pete.run` is held to.  Unlike ``Pete.run`` it
-    checks ``max_cycles`` after every instruction."""
-    cpu.begin(entry)
-    while cpu.cycle < max_cycles:
-        if not cpu.step_instruction():
-            return cpu.stats
-    raise RuntimeError(f"program did not halt within {max_cycles} cycles")
 
 
 def _reg_name(index: int) -> str:
@@ -134,41 +117,41 @@ def _reg_name(index: int) -> str:
     return f"regs[${REGISTER_NAMES[index]}]"
 
 
-def compare_state(ref: Pete, fast: Pete) -> Divergence | None:
+def compare_state(ref: Pete, other: Pete) -> Divergence | None:
     """First architectural difference between two cores, or ``None``."""
 
-    def div(what, ref_value, fast_value):
-        return Divergence(what, ref_value, fast_value, fast.pc,
-                          fast.stats.instructions)
+    def div(what, ref_value, engine_value):
+        return Divergence(what, ref_value, engine_value, other.pc,
+                          other.stats.instructions)
 
-    if ref.pc != fast.pc:
-        return div("pc", hex(ref.pc), hex(fast.pc))
-    if ref.cycle != fast.cycle:
-        return div("cycle", ref.cycle, fast.cycle)
-    if ref.regs != fast.regs:
-        for i, (a, b) in enumerate(zip(ref.regs, fast.regs)):
+    if ref.pc != other.pc:
+        return div("pc", hex(ref.pc), hex(other.pc))
+    if ref.cycle != other.cycle:
+        return div("cycle", ref.cycle, other.cycle)
+    if ref.regs != other.regs:
+        for i, (a, b) in enumerate(zip(ref.regs, other.regs)):
             if a != b:
                 return div(_reg_name(i), a, b)
-    if ref.muldiv.acc != fast.muldiv.acc:
+    if ref.muldiv.acc != other.muldiv.acc:
         return div("muldiv.acc", hex(ref.muldiv.acc),
-                   hex(fast.muldiv.acc))
-    if ref.muldiv.busy_until != fast.muldiv.busy_until:
+                   hex(other.muldiv.acc))
+    if ref.muldiv.busy_until != other.muldiv.busy_until:
         return div("muldiv.busy_until", ref.muldiv.busy_until,
-                   fast.muldiv.busy_until)
-    if ref.muldiv.issues != fast.muldiv.issues:
+                   other.muldiv.busy_until)
+    if ref.muldiv.issues != other.muldiv.issues:
         return div("muldiv.issues", ref.muldiv.issues,
-                   fast.muldiv.issues)
-    if ref._last_load_reg != fast._last_load_reg:
+                   other.muldiv.issues)
+    if ref._last_load_reg != other._last_load_reg:
         return div("load-use latch", ref._last_load_reg,
-                   fast._last_load_reg)
-    stats_diff = ref.stats.diff(fast.stats)
+                   other._last_load_reg)
+    stats_diff = ref.stats.diff(other.stats)
     if stats_diff:
         name, (a, b) = next(iter(stats_diff.items()))
         return div(f"stats.{name}", a, b)
-    if ref._predictor != fast._predictor:
-        return div("branch predictor", ref._predictor, fast._predictor)
-    if ref.mem.ram != fast.mem.ram:
-        for offset, (a, b) in enumerate(zip(ref.mem.ram, fast.mem.ram)):
+    if ref._predictor != other._predictor:
+        return div("branch predictor", ref._predictor, other._predictor)
+    if ref.mem.ram != other.mem.ram:
+        for offset, (a, b) in enumerate(zip(ref.mem.ram, other.mem.ram)):
             if a != b:
                 from repro.pete.memory import RAM_BASE
 
@@ -201,84 +184,6 @@ def _context(cpu: Pete, window: int = 6) -> str:
     return "\n".join(lines)
 
 
-# ---------------------------------------------------------------------------
-# The lock-step loop
-# ---------------------------------------------------------------------------
-
-
-def lockstep(fast: Pete, entry: int, *, label: str = "",
-             max_cycles: int = 50_000_000) -> DiffReport:
-    """Run ``fast`` (fast path) against a clone of itself (reference)
-    in lock-step from ``entry``; state is compared at every unit
-    boundary and the first divergence ends the run."""
-    ref = fast.clone()
-    fast.fastpath = Fastpath(fast)
-    fast.begin(entry)
-    ref.begin(entry)
-    report = DiffReport(label or f"pc=0x{entry:x}")
-
-    while True:
-        if fast.cycle > max_cycles:
-            raise RuntimeError(
-                f"{report.label}: no halt within {max_cycles} cycles")
-        before = fast.stats.instructions
-        fast_alive = fast.step_unit()
-        retired = fast.stats.instructions - before
-        if retired > 1:   # only a superblock retires several at once
-            report.blocks += 1
-        ref_alive = True
-        for _ in range(retired):
-            ref_alive = ref.step_instruction()
-            if not ref_alive:
-                break
-        report.boundaries += 1
-        report.instructions = fast.stats.instructions
-        divergence = compare_state(ref, fast)
-        if divergence is None and fast_alive != ref_alive:
-            divergence = Divergence(
-                "halt", f"ref halted={not ref_alive}",
-                f"fast halted={not fast_alive}", fast.pc,
-                fast.stats.instructions)
-        if divergence is not None:
-            divergence.context = _context(fast)
-            report.divergence = divergence
-            return report
-        if not fast_alive:
-            return report
-
-
-def certify_static(cpu: Pete, report: DiffReport) -> None:
-    """Cross-check dynamic superblock discovery against the static map.
-
-    The abstract analyzer's superblock map
-    (:mod:`repro.analysis.superblock`) must be a superset of what the
-    fastpath discovered at runtime: every compiled block inside a
-    statically mapped region, every declined pc statically rated below
-    the compile threshold.  A mismatch is reported through the same
-    ``divergence`` channel as a lock-step failure, so the CI job gates
-    on it with no extra plumbing.
-    """
-    if cpu.fastpath is None or cpu.program is None:
-        return
-    from repro.analysis.cfg import AsmProgram
-    from repro.analysis.superblock import certify, static_blocks
-
-    program = AsmProgram.from_assembled(cpu.program, name=report.label)
-    problems = certify(program, cpu.fastpath._blocks)
-    if problems:
-        if report.divergence is None:
-            report.divergence = Divergence(
-                "static superblock map",
-                "superset of dynamic discovery",
-                f"{len(problems)} mismatch(es)",
-                cpu.pc, report.instructions,
-                context="\n".join(problems))
-        return
-    report.notes.append(
-        f"  static map certified: {len(static_blocks(program))} static "
-        f"regions cover all {report.blocks} dynamic block executions")
-
-
 def compare_lane_state(ref: Pete, eng, lane: int) -> Divergence | None:
     """First architectural difference between a reference core and one
     lane of a :class:`~repro.pete.lanes.LaneEngine`, or ``None``.
@@ -291,8 +196,8 @@ def compare_lane_state(ref: Pete, eng, lane: int) -> Divergence | None:
         return compare_state(ref, bridge)
     import numpy as np
 
-    def div(what, ref_value, fast_value):
-        return Divergence(what, ref_value, fast_value, eng.lane_pc(lane),
+    def div(what, ref_value, engine_value):
+        return Divergence(what, ref_value, engine_value, eng.lane_pc(lane),
                           eng.lane_instructions(lane))
 
     if ref.pc != eng.lane_pc(lane):
@@ -406,21 +311,6 @@ def diff_kernel_lanes(name: str, k: int, lanes: int, *,
                           max_cycles=max_cycles)
 
 
-def diff_kernel(name: str, k: int, *,
-                max_cycles: int = 50_000_000) -> DiffReport:
-    """Lock-step one generated kernel (same harness the measurements
-    use) on the fast vs reference interpreters, then certify the
-    dynamic superblock discovery against the static map."""
-    from repro.kernels.runner import KernelRunner
-
-    runner = KernelRunner(cache={})
-    cpu, entry = runner.prepare(name, k)
-    report = lockstep(cpu, entry, label=f"{name}:{k}",
-                      max_cycles=max_cycles)
-    certify_static(cpu, report)
-    return report
-
-
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -437,17 +327,15 @@ def main(argv: list[str] | None = None) -> int:
                              "details) to this file")
     parser.add_argument("--max-cycles", type=int, default=50_000_000)
     parser.add_argument("--lanes", nargs="+", type=int, metavar="N",
-                        default=None,
-                        help="verify the lane engine instead of the "
-                             "scalar fast path: per-lane lock-step at "
-                             "each of these batch sizes")
+                        default=[1, 4, 64],
+                        help="per-lane lock-step at each of these batch "
+                             "sizes (default: 1 4 64)")
     args = parser.parse_args(argv)
 
-    if args.lanes:
-        from repro.pete.lanes import HAVE_NUMPY
+    from repro.pete.lanes import HAVE_NUMPY
 
-        if not HAVE_NUMPY:
-            raise SystemExit("diffexec: --lanes requires numpy")
+    if not HAVE_NUMPY:
+        raise SystemExit("diffexec: the lane engine requires numpy")
 
     reports = []
     for token in args.kernels:
@@ -456,15 +344,11 @@ def main(argv: list[str] | None = None) -> int:
             raise SystemExit(f"diffexec: bad kernel spec {token!r} "
                              f"(expected NAME:K, like os_mul:8)")
         try:
-            if args.lanes:
-                batch = [
-                    diff_kernel_lanes(name, int(k), lanes,
-                                      max_cycles=args.max_cycles)
-                    for lanes in args.lanes
-                ]
-            else:
-                batch = [diff_kernel(name, int(k),
-                                     max_cycles=args.max_cycles)]
+            batch = [
+                diff_kernel_lanes(name, int(k), lanes,
+                                  max_cycles=args.max_cycles)
+                for lanes in args.lanes
+            ]
         except KeyError as exc:
             raise SystemExit(f"diffexec: {exc.args[0]}")
         for report in batch:
@@ -476,8 +360,9 @@ def main(argv: list[str] | None = None) -> int:
     diverged = [r for r in reports if not r.ok]
     total = sum(r.instructions for r in reports)
     blocks = sum(r.blocks for r in reports)
-    footer = (f"diffexec: {len(reports)} kernels, {total} instructions, "
-              f"{blocks} superblocks, {len(diverged)} divergences")
+    footer = (f"diffexec: {len(reports)} kernel batches, {total} "
+              f"instructions, {blocks} vector blocks, "
+              f"{len(diverged)} divergences")
     print(footer)
 
     if args.report:

@@ -75,9 +75,7 @@ class ICache:
         every miss costs one ROM line read; a prefetch-buffer hit costs no
         stall but the buffer then issues the next line's ROM read.
         ``now`` is the current core cycle, used only to timestamp trace
-        events -- the cache's own state machine never reads it, which is
-        what lets compiled superblocks (:mod:`repro.pete.fastpath`, which
-        only run while no tracer is attached) omit it entirely.
+        events -- the cache's own state machine never reads it.
         """
         cfg = self.config
         self.stats.icache_accesses += 1

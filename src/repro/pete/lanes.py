@@ -4,12 +4,12 @@ The :class:`LaneEngine` runs N independent copies of one program
 lock-step: the architectural state of every instance lives in numpy
 arrays with one *lane* per instance (register file ``(32, N)``, RAM
 ``(N, ram_size)``, per-lane cycle/stat/MulDiv vectors), and straight-
-line runs of compilable instructions — the blocks the shared front end
-(:mod:`repro.pete.blocks`) discovers for the scalar fast path too —
-execute as a single vectorized closure per block, amortizing dispatch
-across the whole batch.  The decoded instructions and pc -> closure
-maps belong to the program image, so every engine and bridge over one
-ROM shares them and a new batch over a known program compiles nothing.
+line runs of compilable instructions — the blocks the front end
+(:mod:`repro.pete.blocks`) discovers — execute as a single vectorized
+closure per block, amortizing dispatch across the whole batch.  The
+decoded instructions and pc -> closure maps belong to the program
+image, so every engine and bridge over one ROM shares them and a new
+batch over a known program compiles nothing.
 
 Control flow is where lanes can disagree.  Branches are evaluated
 densely; when every active lane agrees the group follows the common
@@ -17,10 +17,10 @@ target (including per-lane 2-bit BTFN predictor updates, folded with
 ``np.where``).  When lanes *diverge* — different branch outcomes, or
 ``jr`` targets that differ — the majority keeps vector execution and
 the minority is **demoted**: its lane state is copied into a scalar
-:class:`~repro.pete.cpu.Pete` bridge which advances unit by unit
-(:meth:`~repro.pete.cpu.Pete.step_unit`) until its pc re-converges with
-the group, at which point the lane **rejoins** the arrays
-bit-identically.  A lane that halts while demoted keeps its
+:class:`~repro.pete.cpu.Pete` bridge which advances on the reference
+interpreter (:meth:`~repro.pete.cpu.Pete.step_instruction`) until its
+pc re-converges with the group, at which point the lane **rejoins**
+the arrays bit-identically.  A lane that halts while demoted keeps its
 bridge as the source of truth; a group halt freezes the arrays.  The
 only masked dense operation is the RAM store (loads gather garbage for
 inactive lanes harmlessly; stores must not clobber demoted/halted
@@ -31,7 +31,7 @@ kernel harness actually builds: no i-cache, no coprocessor, no tracer.
 Everything else — MulDiv latencies and the 96-bit accumulator ops,
 load-use interlocks, branch/jr stalls, architectural delay slots —
 matches the reference interpreter cycle-for-cycle and bit-for-bit,
-which ``repro.pete.diffexec --lanes`` gates per lane at every unit
+which ``python -m repro.pete.diffexec`` gates per lane at every unit
 boundary.
 
 Lanes only pay off in wide batches (the crossover against per-core
@@ -63,7 +63,6 @@ from repro.pete.blocks import (
     timing,
 )
 from repro.pete.cpu import Pete, _sources
-from repro.pete.fastpath import Fastpath
 from repro.pete.isa import Decoded, PeteISA
 from repro.pete.memory import RAM_BASE
 from repro.pete.muldiv import (
@@ -98,8 +97,8 @@ _PROGRAM_MAPS = BoundedMemo(64)
 def require_numpy() -> None:
     if np is None:
         raise RuntimeError(
-            "repro.pete.lanes requires numpy; install it or use the "
-            "scalar fast path (repro.pete.fastpath) instead"
+            "repro.pete.lanes requires numpy; install it or run each "
+            "core on its own with Pete.run instead"
         )
 
 
@@ -114,12 +113,12 @@ class _LaneCompiler:
     """Compile a straight-line run of COMPILABLE instructions into one
     vectorized closure ``fn(eng)`` operating on dense lane arrays.
 
-    Folds the same static timing (:func:`repro.pete.blocks.timing`) as
-    ``fastpath._BlockCompiler`` — static cycle/stall/fetch folding,
-    dynamic entry load-use and MulDiv waits — but every register is a
-    row of ``eng.regs`` and every stat a per-lane vector.  All writes
-    are dense (inactive lanes hold garbage, see module docstring);
-    memory traffic goes through the engine's masked helpers.
+    Folds the static timing of :func:`repro.pete.blocks.timing` —
+    static cycle/stall/fetch folding, dynamic entry load-use and MulDiv
+    waits — with every register a row of ``eng.regs`` and every stat a
+    per-lane vector.  All writes are dense (inactive lanes hold
+    garbage, see module docstring); memory traffic goes through the
+    engine's masked helpers.
     """
 
     def __init__(self, decs: Sequence[Decoded], entry_pc: int) -> None:
@@ -780,7 +779,6 @@ class LaneEngine:
         b.mem.rom = self._rom_ba  # shared: ROM is read-only at runtime
         b._decoded = self._decoded
         b.program = self.program
-        b.fastpath = Fastpath(b)
         return b
 
     def _demote(self, lane: int, pc: int) -> None:
@@ -844,7 +842,7 @@ class LaneEngine:
         self.ram[lane] = np.frombuffer(b.mem.ram, dtype=np.uint8)
 
     def _advance_demoted(self) -> None:
-        """Advance every bridge by up to ``FALLBACK_BURST``
+        """Advance every bridge by up to ``FALLBACK_BURST`` reference
         instructions, rejoining it where its pc meets the group's.
         Once the vector group is gone no bridge can ever rejoin, so
         each one drains to its halt instead."""
@@ -861,12 +859,10 @@ class LaneEngine:
                             f"{self._max_cycles} cycles")
                 elif b.stats.instructions - before >= FALLBACK_BURST:
                     break
-                # the rejoin pc is always a block or control boundary,
-                # so block-granular stepping cannot skip past it
                 elif b.pc == group_pc and not b._in_delay_slot:
                     self._rejoin(lane, b)
                     break
-                if not b.step_unit():
+                if not b.step_instruction():
                     self._finalize_bridge(lane, b)
                     break
             stepped += b.stats.instructions - before

@@ -4,8 +4,8 @@ A long-lived asyncio front-end (:class:`SigningService`) over
 persistent warm worker processes: requests for ``sign`` / ``verify`` /
 ``ecdh`` across curves are admitted into a bounded backpressure queue,
 coalesced into homogeneous micro-batches, and executed lock-step on
-the lane engine by workers that hold pre-discovered fast-path block
-maps -- steady-state requests never pay discovery or compilation.
+the lane engine by workers that hold pre-compiled lane block maps --
+steady-state requests never pay discovery or compilation.
 
 See ``ARCHITECTURE.md`` (service plane) for the queueing model and
 worker warm-state lifecycle, and :mod:`repro.serve.loadgen` for the

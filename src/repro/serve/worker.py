@@ -3,18 +3,18 @@
 Each worker is a long-lived process holding exactly the state that
 makes steady-state requests cheap:
 
-* the process-wide **assembled-program memo** and the per-program
-  **block maps** of the scalar fast path (:mod:`repro.pete.fastpath`)
-  and the lane engine (:mod:`repro.pete.lanes`) -- discovery and
-  compilation happen once per kernel plan, during warm-up, and never
-  again;
+* the process-wide **assembled-program memo** and the lane engine's
+  per-program **block maps** (:mod:`repro.pete.lanes`) -- discovery
+  and compilation happen once per kernel plan, during warm-up, and
+  never again (demoted lanes step the reference interpreter, which
+  compiles nothing);
 * a :class:`~repro.pete.lanes.LanePool` of prepared cores, restocked
   *between* batches so the next batch's prepare cost is off the
   critical path;
 * the shared content-addressed sweep cache
   (:class:`~repro.sweep.cache.ResultCache`), which memoizes each
-  plan's reference profile (median cycles/energy of a scalar warm run)
-  across workers *and* across service restarts;
+  plan's profile (cycles/energy of the warm batch's first lane) across
+  workers *and* across service restarts;
 * per-config :class:`~repro.energy.simulated.RunEnergyParams`, so each
   lane's event counters price into nJ with the request's uarch config.
 
@@ -26,11 +26,11 @@ Protocol (one duplex pipe per worker, parent is the asyncio service):
 * ``("stop",)``         -> reply ``("bye", telemetry)`` and exit
 
 Every batch result carries the blocks the worker compiled during that
-batch (the movement of the ``lane_blocks_compiled`` and
-``fastpath_blocks_compiled`` counts in :func:`repro.obs.counts`), and
-``warm=True`` once the plan has run before in this process -- the
-service counts warm batches that compiled as ``post_warm_compiles``,
-the "no discovery in steady state" contract the CI smoke gates on.
+batch (the movement of the ``lane_blocks_compiled`` count in
+:func:`repro.obs.counts`), and ``warm=True`` once the plan has run
+before in this process -- the service counts warm batches that
+compiled as ``post_warm_compiles``, the "no discovery in steady state"
+contract the CI smoke gates on.
 """
 
 from __future__ import annotations
@@ -46,13 +46,13 @@ WARM_LANES = 2
 
 
 def _static_block_starts(core, entry: int) -> list[int]:
-    """Every reachable basic-block leader pc of ``core``'s program.
+    """Every reachable basic-block leader and delay-slot pc of
+    ``core``'s program.
 
     Uses the delay-slot-aware CFG from :mod:`repro.analysis.cfg`; the
-    result seeds :meth:`LaneEngine.precompile` /
-    :meth:`Fastpath.precompile` so the block maps reach closure during
-    warm-up instead of on the first request whose operands take a rare
-    path.
+    result seeds :meth:`LaneEngine.precompile` so the block map reaches
+    closure during warm-up instead of on the first request whose
+    operands take a rare path.
     """
     from repro.analysis.cfg import AsmProgram, build_cfg
 
@@ -62,8 +62,8 @@ def _static_block_starts(core, entry: int) -> list[int]:
     root = (entry - program.base) // 4
     live = cfg.reachable((root,))
     starts = {b.start for b in cfg.blocks if b.start in live}
-    # delay slots too: a demoted lane resumes scalar execution AT the
-    # slot, so the fast path discovers blocks starting there
+    # delay slots too: when every lane falls through a branch, the
+    # group's next unit starts AT the slot (LaneEngine._step_branch)
     starts.update(i for i in cfg.slots if i in live)
     return [prog.address(i) for i in sorted(starts)]
 
@@ -122,29 +122,22 @@ class _WorkerState:
     def warm_plan(self, name: str, k: int,
                   config: str = "baseline") -> dict:
         """Warm one plan to a compile-free steady state and memoize
-        its reference profile in the shared cache.
+        its profile in the shared cache.
 
         Two steps: a dynamic warm batch runs the hot path end to end
         (populating predictors and the common block tiling), then a
         *static closure* pass precompiles a block at every reachable
-        CFG leader -- in the lane engine's code cache and in the
-        scalar fast path's shared block map (the demoted-lane fallback
-        runs there).  Dynamic warming alone is not enough: a rarely
-        taken carry branch would otherwise compile its fall-through
-        the first time a request's operands happen to hit it,
-        mid-serve.
+        CFG leader and delay slot in the lane engine's code cache.
+        Dynamic warming alone is not enough: a rarely taken carry
+        branch would otherwise compile its fall-through the first time
+        a request's operands happen to hit it, mid-serve.
         """
-        from repro.pete.fastpath import Fastpath
         from repro.pete.lanes import LaneEngine
 
         cores, entry = self.pool.take(name, k, WARM_LANES)
         engine = LaneEngine(cores)
         engine.run(entry)
-        starts = _static_block_starts(cores[0], entry)
-        engine.precompile(starts)
-        # the scalar fast path serves demoted lanes; its per-program
-        # shared block map needs the same closure
-        Fastpath(cores[0]).precompile(starts)
+        engine.precompile(_static_block_starts(cores[0], entry))
         stats = engine.lane_stats(0)
         profile = self.cache.memo(
             self.plan_key(name, k, config),
@@ -184,8 +177,7 @@ class _WorkerState:
         return {
             "lanes": lanes,
             "wall_s": wall_s,
-            "compiled": (moved["lane_blocks_compiled"]
-                         + moved["fastpath_blocks_compiled"]),
+            "compiled": moved["lane_blocks_compiled"],
             "warm": warm,
         }
 

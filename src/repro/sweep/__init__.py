@@ -16,7 +16,7 @@ invalidates exactly the artifacts that can reach the edit.
   timeout, bounded retry, failed-task skip, ledger records).
 
 Every task is one artifact; simulated kernels inside a task run on the
-scalar fast path (:meth:`repro.pete.cpu.Pete.run`).  CLI: ``python -m
+reference interpreter (:meth:`repro.pete.cpu.Pete.run`).  CLI: ``python -m
 repro.sweep`` (cached, parallel ``runall``); library:
 :func:`repro.api.sweep`, and :func:`repro.api.compute_artifact` with
 ``cache``/``cache_dir``/``jobs`` (a one-spec engine run).

@@ -27,8 +27,8 @@ from __future__ import annotations
 import functools
 import multiprocessing
 import time
-from collections import Counter, deque
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
 
 from typing import TYPE_CHECKING
@@ -75,15 +75,13 @@ def _pool_worker(conn, compute, kind: str, name: str,
                  obs_ctx: dict | None = None) -> None:
     """Run one task in a dedicated process, reporting over ``conn``.
 
-    The message is ``(status, value, extras)``: extras carry the
-    movement of this process's :func:`repro.obs.counts` table during
-    the task (so a forked parent's counts never leak in) and -- when
-    ``obs_ctx`` joined it to the parent's trace -- the drained telemetry
-    snapshot, whose spans are parented under the dispatching task span.
+    The message is ``(status, value, telemetry)``: when ``obs_ctx``
+    joined the worker to the parent's trace, ``telemetry`` is the
+    drained snapshot, whose spans are parented under the dispatching
+    task span (else ``None``).
     """
     if obs_ctx is not None:
         obs.activate_from(obs_ctx)
-    base = obs.counts()
     span = obs.span("sweep.worker", kind=kind, task=name).start()
     try:
         message = ("ok", compute(kind, name))
@@ -91,9 +89,8 @@ def _pool_worker(conn, compute, kind: str, name: str,
     except BaseException as exc:
         span.finish("error")
         message = ("error", f"{type(exc).__name__}: {exc}")
-    extras = {"counts": obs.counts_since(base), "telemetry": obs.drain()}
     try:
-        conn.send((*message, extras))
+        conn.send((*message, obs.drain()))
     except Exception as exc:
         conn.send(("error", f"unsendable result: "
                             f"{type(exc).__name__}: {exc}", None))
@@ -145,9 +142,6 @@ class SweepResult:
     #: ResultCache hit/miss movement during this run (0/0 uncached)
     cache_hits: int = 0
     cache_misses: int = 0
-    #: movement of the :func:`repro.obs.counts` table across the run:
-    #: this process's plus what every pool worker shipped back
-    counts: dict[str, int] = field(default_factory=dict)
 
     @property
     def hits(self) -> int:
@@ -175,11 +169,6 @@ class SweepResult:
                f"{len(self.failed)} failed, jobs={self.jobs}"
                f"; cache {self.cache_hits} hits / "
                f"{self.cache_misses} misses")
-        counts = self.counts
-        if counts:
-            out += (f"; fastpath {counts['fastpath_blocks_compiled']} "
-                    f"compiled / {counts['fastpath_code_cache_hits']} "
-                    f"code-cache hits")
         if self.reaped:
             out += f"; {self.reaped} reaped"
         return out
@@ -235,8 +224,6 @@ class SweepEngine:
         keys: dict[tuple[str, str], str] = {}
         cache_base = ((self.cache.hits, self.cache.misses)
                       if self.cache is not None else (0, 0))
-        counts_base = obs.counts()
-        moved: Counter = Counter()      # the run's, in every process
 
         with obs.span("sweep.run", jobs=str(self.jobs),
                       tasks=str(len(specs))):
@@ -260,7 +247,7 @@ class SweepEngine:
 
             if pending:
                 if self.jobs > 1:
-                    self._run_pool(pending, outcomes, keys, moved)
+                    self._run_pool(pending, outcomes, keys)
                 else:
                     self._run_inline(pending, outcomes, keys)
 
@@ -269,8 +256,6 @@ class SweepEngine:
         if self.cache is not None:
             result.cache_hits = self.cache.hits - cache_base[0]
             result.cache_misses = self.cache.misses - cache_base[1]
-        moved.update(obs.counts_since(counts_base))
-        result.counts = dict(moved)
         return result
 
     def _note_outcome(self, outcome: TaskOutcome,
@@ -329,15 +314,14 @@ class SweepEngine:
             self._finish(spec, outcomes[spec.key], keys)
             self._note_outcome(outcomes[spec.key], emit_span=True)
 
-    def _run_pool(self, pending, outcomes, keys, shipped: Counter) -> None:
+    def _run_pool(self, pending, outcomes, keys) -> None:
         """One dedicated worker process per task attempt.
 
         At most ``self.jobs`` workers run at once.  Each worker reports
         over a pipe; its deadline is measured from ``Process.start()``,
         and a worker that outlives it is killed -- the slot frees up
         for the queued/retried tasks instead of the sweep blocking on a
-        hung simulation.  Every attempt's shipped count movement is
-        added to ``shipped``.
+        hung simulation.
         """
         ctx = multiprocessing.get_context(self.mp_context)
         tel = obs.get()
@@ -346,14 +330,6 @@ class SweepEngine:
         reap_counts: dict[tuple[str, str], int] = {}
         # recv conn -> (proc, spec, attempt, t0, task_span)
         running: dict[object, tuple] = {}
-
-        def absorb_extras(extras) -> None:
-            """Fold a worker's shipped counts/telemetry into the run."""
-            if not extras:
-                return
-            shipped.update(extras["counts"])
-            if tel is not None:
-                tel.merge(extras["telemetry"])
 
         def settle(spec, attempt, status, payload=None, error=None):
             outcome = TaskOutcome(
@@ -402,12 +378,13 @@ class SweepEngine:
                                              timeout=max(0.0, budget)):
                     proc, spec, attempt, _, task_span = running.pop(conn)
                     try:
-                        status, value, extras = conn.recv()
+                        status, value, snapshot = conn.recv()
                     except (EOFError, ValueError):
-                        status, value, extras = "error", None, None
+                        status, value, snapshot = "error", None, None
                     conn.close()
                     proc.join()
-                    absorb_extras(extras)
+                    if tel is not None:
+                        tel.merge(snapshot)
                     if task_span is not None:
                         task_span.annotate(result=status).finish(
                             "ok" if status == "ok" else "error")

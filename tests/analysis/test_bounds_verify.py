@@ -68,11 +68,3 @@ def test_static_only_mode_skips_observation():
     report = verify_kernel(_SPECS["mp_add"], observe=False)
     assert report.observed == {}
     assert report.bound is not None and report.clean
-
-
-def test_diffexec_certifies_static_superset_end_to_end():
-    from repro.pete.diffexec import diff_kernel
-
-    report = diff_kernel("mp_add", 6)
-    assert report.ok
-    assert any("static map certified" in note for note in report.notes)

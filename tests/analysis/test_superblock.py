@@ -1,13 +1,12 @@
-"""Static superblock map and the static >= dynamic certification."""
+"""Static superblock map."""
 
 from repro.analysis.cfg import AsmProgram
 from repro.analysis.superblock import (
-    certify,
+    MIN_BLOCK_LEN,
     coverage,
     run_lengths,
     static_blocks,
 )
-from repro.pete.fastpath import MIN_BLOCK_LEN
 
 
 def _program(src, name="t"):
@@ -52,32 +51,3 @@ def test_branch_splits_runs():
     """))
     assert runs[0] == 1   # run ends at the branch
     assert runs[1] == 0   # the branch itself
-
-
-def _fake_block(n):
-    def fn(cpu):  # pragma: no cover - never executed
-        raise AssertionError
-    fn.__fastpath_len__ = n
-    return fn
-
-
-def test_certify_accepts_consistent_dynamic_map():
-    program = _program(STRAIGHT)
-    assert certify(program, {program.base + 0: _fake_block(4)}) == []
-    # a shorter dynamic block inside the static region is fine too
-    assert certify(program, {program.base + 4: _fake_block(3)}) == []
-
-
-def test_certify_rejects_dynamic_block_exceeding_static_map():
-    program = _program(STRAIGHT)
-    problems = certify(program, {program.base + 0: _fake_block(5)})
-    assert problems and "5" in problems[0]
-
-
-def test_certify_rejects_unexplained_decline():
-    program = _program(STRAIGHT)
-    # the fast path declined (None) a pc the static map rates >= MIN
-    problems = certify(program, {program.base + 0: None})
-    assert problems
-    # declining where the static map also rates the run too short is ok
-    assert certify(program, {program.base + 16: None}) == []

@@ -179,11 +179,11 @@ def test_registry_state_dict_round_trips_losslessly():
 def test_count_table_counts_with_telemetry_off():
     assert obs.get() is None
     base = obs.counts()
-    obs.count("fastpath_deopt_runs")
+    obs.count("lane_code_cache_hits")
     obs.count("lane_blocks_compiled", 3)
     moved = obs.counts_since(base)
     assert set(moved) == set(base)
-    assert moved["fastpath_deopt_runs"] == 1
+    assert moved["lane_code_cache_hits"] == 1
     assert moved["lane_blocks_compiled"] == 3
     assert sum(moved.values()) == 4
 
@@ -194,16 +194,16 @@ def test_count_table_rejects_undeclared_names():
 
 
 def test_snapshot_exports_table_movement_since_the_plane_started():
-    obs.count("fastpath_blocks_compiled", 5)      # before: not exported
+    obs.count("lane_blocks_compiled", 5)      # before: not exported
     tel = obs.enable()
-    obs.count("fastpath_blocks_compiled", 2)
+    obs.count("lane_blocks_compiled", 2)
     tel.counter("sweep_cache_hits").inc()
     snapshot = obs.disable()
     exported = {(m["name"], m["kind"]): m["value"]
                 for m in snapshot["metrics"]["metrics"]}
-    assert exported[("fastpath_blocks_compiled", "counter")] == 2
+    assert exported[("lane_blocks_compiled", "counter")] == 2
     assert exported[("sweep_cache_hits", "counter")] == 1
     # unmoved counts stay out; the live registry holds no copy
-    assert ("lane_blocks_compiled", "counter") not in exported
-    assert "fastpath_blocks_compiled" not in {
+    assert ("lane_code_cache_hits", "counter") not in exported
+    assert "lane_blocks_compiled" not in {
         name for name, _, _ in tel.registry._metrics}

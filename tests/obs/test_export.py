@@ -16,7 +16,7 @@ def _snapshot_with_activity():
     with obs.span("sweep.run", jobs="2"):
         tel.counter("sweep_cache_hits").inc(3)
         tel.counter("sweep_cache_misses").inc(1)
-        tel.counter("fastpath_blocks_compiled").inc(5)
+        tel.counter("sweep_tasks_total", status="computed").inc(5)
         tel.gauge("pool_jobs").set(2)
         hist = tel.histogram("sweep_task_wall_s")
         for v in (0.1, 0.2, 0.4):
@@ -130,7 +130,7 @@ def test_telemetry_record_summarizes_headline_metrics():
     assert record["kind"] == "telemetry"
     assert record["data"]["cache"]["hits"] == 3.0
     assert record["data"]["cache"]["misses"] == 1.0
-    assert record["data"]["fastpath"]["blocks_compiled"] == 5.0
+    assert record["data"]["tasks"] == 5.0
     assert record["data"]["task_wall_s"]["count"] == 3
     assert record["data"]["task_wall_s"]["p50"] == pytest.approx(0.2)
     assert record["data"]["span_roots"] == 1

@@ -1,4 +1,4 @@
-"""Lock-step differential harness: clean kernels and seeded faults."""
+"""Lock-step differential harness: state compares and seeded faults."""
 
 import pytest
 
@@ -8,24 +8,8 @@ from repro.pete.diffexec import (
     DiffReport,
     Divergence,
     compare_state,
-    diff_kernel,
-    lockstep,
+    lockstep_lanes,
 )
-from repro.pete.fastpath import Fastpath
-
-
-@pytest.mark.parametrize("name,k", [
-    ("mp_add", 8),       # prime-field, straight-line
-    ("os_mul", 6),       # prime-field, nested loops + muldiv
-    ("comb_mul", 4),     # binary-field comb
-    ("scalar_daa", 12),  # scalar double-and-add (branchy)
-])
-def test_kernels_run_divergence_free(name, k):
-    report = diff_kernel(name, k)
-    assert report.ok, report.format()
-    assert report.instructions > 0
-    assert report.blocks > 0, "no superblocks executed: nothing verified"
-    assert report.boundaries >= report.blocks
 
 
 def test_compare_state_names_the_first_difference():
@@ -46,36 +30,50 @@ def test_compare_state_names_the_first_difference():
     assert divergence.what == "stats.ram_writes"
 
 
-class _FaultyFastpath(Fastpath):
-    """Wraps every compiled block to corrupt $t2 after it runs."""
+SEEDED = """
+main:
+    li   $t0, 3
+    li   $t1, 5
+    addu $t2, $t0, $t1
+    subu $t3, $t1, $t0
+    halt
+"""
 
-    def lookup(self, pc):
-        block = super().lookup(pc)
-        if block is None:
-            return None
 
-        def corrupted(cpu):
-            block(cpu)
-            cpu.regs[10] ^= 0x4000_0000
+def test_lockstep_lanes_detects_a_seeded_fault(monkeypatch):
+    """A lane block compiler that corrupts one register write is caught
+    at the next unit boundary, named, and shown in context."""
+    pytest.importorskip("numpy")
+    from repro.pete import lanes
+    from repro.pete.blocks import BoundedMemo
 
+    real = lanes.compile_lane_block
+
+    def faulty(decs, entry_pc):
+        block = real(decs, entry_pc)
+
+        def corrupted(eng):
+            block(eng)
+            eng.regs[10] ^= 0x4000_0000    # the block's write of $t2
+
+        corrupted.__lane_len__ = block.__lane_len__
         return corrupted
 
-
-def test_lockstep_detects_a_seeded_fault(monkeypatch):
-    monkeypatch.setattr(diffexec, "Fastpath", _FaultyFastpath)
-    program = assemble("""
-    main:
-        li   $t0, 3
-        li   $t1, 5
-        addu $t2, $t0, $t1
-        subu $t3, $t1, $t0
-        halt
-    """)
-    cpu = Pete()
-    cpu.load(program)
-    report = lockstep(cpu, program.address_of("main"), label="seeded")
+    # private code caches: faulty closures neither reuse real ones nor
+    # outlive the test
+    monkeypatch.setattr(lanes, "compile_lane_block", faulty)
+    monkeypatch.setattr(lanes, "_LANE_CODE_CACHE", BoundedMemo(4096))
+    monkeypatch.setattr(lanes, "_PROGRAM_MAPS", BoundedMemo(64))
+    program = assemble(SEEDED)
+    cores = []
+    for _ in range(2):
+        cpu = Pete()
+        cpu.load(program)
+        cores.append(cpu)
+    report = lockstep_lanes(cores, program.address_of("main"),
+                            label="seeded")
     assert not report.ok
-    assert report.divergence.what == "regs[$t2]"
+    assert report.divergence.what == "lane 0: regs[$t2]"
     formatted = report.format()
     assert "DIVERGED" in formatted
     assert "->" in formatted, "disassembly context missing"
@@ -92,6 +90,7 @@ def test_report_formatting():
 
 
 def test_cli_reports_and_exits_clean(tmp_path, capsys):
+    pytest.importorskip("numpy")
     out = tmp_path / "report.txt"
     rc = diffexec.main(["--kernels", "mp_add:6", "--report", str(out)])
     assert rc == 0

@@ -10,12 +10,8 @@ np = pytest.importorskip("numpy")
 
 from repro import obs
 from repro.kernels.runner import KernelRunner
-from repro.pete import fastpath, lanes
-from repro.pete.diffexec import (
-    diff_kernel_lanes,
-    lockstep_lanes,
-    run_reference,
-)
+from repro.pete import lanes
+from repro.pete.diffexec import diff_kernel_lanes, lockstep_lanes
 from repro.pete.lanes import LaneEngine
 
 
@@ -47,8 +43,8 @@ def test_kernels_lockstep_bit_identical(name, k, lanes):
 
 def test_divergent_scalar_kernel_demotes_and_rejoins():
     """scalar_daa's per-lane digit paths force real branch divergence:
-    minority lanes must demote to scalar bridges, advance through the
-    fast path, and re-join bit-identically."""
+    minority lanes must demote to scalar bridges, advance on the
+    reference interpreter, and re-join bit-identically."""
     runner = KernelRunner(cache={})
     cores, entry = runner.prepare_lanes("scalar_daa", 16, 24)
     report = lockstep_lanes(cores, entry, label="scalar_daa:16[x24]")
@@ -75,9 +71,8 @@ def test_divergence_counters_expose_fallback_traffic():
 
 def test_second_engine_over_a_run_program_reuses_its_blocks(monkeypatch):
     """Block maps belong to the program image: a second engine over a
-    program an earlier engine ran -- divergent lanes, their scalar
-    bridges and delay slots included -- neither discovers nor
-    compiles."""
+    program an earlier engine ran -- divergent lanes and delay slots
+    included -- neither discovers nor compiles."""
     runner = KernelRunner(cache={})
     cores, entry = runner.prepare_lanes("scalar_daa", 16, 24)
     twins = [core.clone() for core in cores]
@@ -93,13 +88,11 @@ def test_second_engine_over_a_run_program_reuses_its_blocks(monkeypatch):
         return discover
 
     monkeypatch.setattr(lanes, "discover", spy(lanes.discover))
-    monkeypatch.setattr(fastpath, "discover", spy(fastpath.discover))
     base = obs.counts()
     second = LaneEngine(twins).run(entry)
     assert discovered == []
     moved = obs.counts_since(base)
     assert moved["lane_blocks_compiled"] == 0
-    assert moved["fastpath_blocks_compiled"] == 0
     for i in range(len(twins)):
         assert second.lane_stats(i) == first.lane_stats(i)
 
@@ -112,7 +105,7 @@ def test_lanes_match_scalar_reference_stats_exactly():
     refs = [core.clone() for core in cores]
     eng = LaneEngine(cores).run(entry)
     for i, ref in enumerate(refs):
-        stats = run_reference(ref, entry)
+        stats = ref.run(entry)
         assert int(eng.lane_cycle(i)) == stats.cycles
         assert int(eng.lane_instructions(i)) == stats.instructions
         assert _lane_stats(eng, i)["stall_cycles"] == stats.stall_cycles
@@ -123,7 +116,7 @@ def test_single_lane_batch_works():
     cores, entry = runner.prepare_lanes("mp_add", 8, 1)
     ref = cores[0].clone()
     eng = LaneEngine(cores).run(entry)
-    assert int(eng.lane_cycle(0)) == run_reference(ref, entry).cycles
+    assert int(eng.lane_cycle(0)) == ref.run(entry).cycles
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +143,6 @@ def test_measure_batch_matches_scalar_measure():
     refs = [core.clone() for core in cores]
     eng = LaneEngine(cores).run(entry)
     cycles = tuple(int(eng.lane_cycle(i)) for i in range(4))
-    assert cycles == tuple(run_reference(ref, entry).cycles
-                           for ref in refs)
+    assert cycles == tuple(ref.run(entry).cycles for ref in refs)
     scalar = KernelRunner(cache={}).measure("ps_mul_ext", 8)
     assert cycles == (scalar.cycles,) * 4

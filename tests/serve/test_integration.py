@@ -3,7 +3,7 @@
 Boots the service through :func:`repro.api.serve_session`, drives a
 few batches of real lane-engine work, and pins the two properties the
 CI smoke gate depends on: *warm steady state* (after warm-up, no
-batch triggers fastpath block discovery in the worker) and *clean
+batch triggers lane block discovery in the worker) and *clean
 shutdown* (no orphaned worker processes).  An in-process worker state
 pins the other side of the warm-state gate: a batch that does compile
 is counted.
@@ -15,7 +15,7 @@ import os
 import pytest
 
 from repro.api import ServeConfig, ServeRequest, serve_session
-from repro.pete import fastpath, lanes
+from repro.pete import lanes
 from repro.serve.service import worker_pids
 from repro.serve.worker import _WorkerState
 
@@ -50,7 +50,7 @@ def test_real_worker_warm_steady_state_and_clean_shutdown(tmp_path):
             counters = service.counters()
             assert counters["requests_served"] == 12
             assert counters["batches_formed"] >= 3
-            # the acceptance bar: zero fastpath block discovery once
+            # the acceptance bar: zero lane block discovery once
             # the worker is warm (static CFG closure at warm-up)
             assert counters["post_warm_compiles"] == 0
             return service, pids
@@ -72,8 +72,6 @@ def test_batch_after_warm_up_reports_its_compiles(tmp_path):
     assert steady["warm"] is True and steady["compiled"] == 0
 
     # lose every compiled block: the next batch must compile again
-    fastpath._CODE_CACHE.clear()
-    fastpath._BLOCK_MAPS.clear()
     lanes._LANE_CODE_CACHE.clear()
     lanes._PROGRAM_MAPS.clear()
     cold = state.run_batch("fmul_p192", 6, 4)

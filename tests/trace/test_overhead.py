@@ -4,9 +4,8 @@ The instrumentation contract is one ``if self.tracer is not None:``
 branch per site.  This test reconstructs the pre-instrumentation hot
 loop by stripping exactly those blocks from the live source of Pete's
 hot methods, verifies the stripped replica is cycle-exact, then checks
-the instrumented reference interpreter (tracer off, run through
-:func:`repro.pete.diffexec.run_reference`) stays within 10% of the
-replica's wall-clock.
+the instrumented interpreter (tracer off, run through ``Pete.run``)
+stays within 10% of the replica's wall-clock.
 """
 
 import inspect
@@ -16,7 +15,6 @@ import time
 from repro.pete import assemble
 from repro.pete import cpu as cpu_module
 from repro.pete.cpu import Pete
-from repro.pete.diffexec import run_reference
 from repro.pete.memory import RAM_BASE
 
 #: acceptance bound: <= 10% overhead with tracing off
@@ -74,7 +72,7 @@ for _name in ("_fetch", "_wait_muldiv", "_branch", "_step"):
 def _run(cls, program):
     cpu = cls()
     cpu.load(program)
-    return run_reference(cpu, 0)
+    return cpu.run(0)
 
 
 def _best_time(cls, program, rounds):
