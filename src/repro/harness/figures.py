@@ -16,10 +16,17 @@ from repro.harness.tables import (
     PRIME_CURVES,
     ffau_width_point,
 )
+from repro.model import datapath64, future_work
 from repro.model.arm import ARM_CORTEX_M3
-from repro.model.configs import ISA_EXT, with_icache
+from repro.model.configs import (
+    ISA_EXT,
+    ISA_EXT_IC,
+    ISA_EXT_IC_FLASH,
+    with_icache,
+)
 from repro.model.prior_work import GUO_SCHAUMONT_163
 from repro.model.system import shared_model as _model
+from repro.model.units import reads
 
 #: Components shown in the breakdown figures, in plot order.
 BREAKDOWN_COMPONENTS = ("Pete", "ROM", "RAM", "Uncore", "Monte", "Billie")
@@ -36,6 +43,7 @@ def _breakdown(curve: str, config) -> dict[str, float]:
             if report.component_uj(comp) > 0.0}
 
 
+@reads(PRIME_CURVES, icache=[ISA_EXT_IC])
 def fig7_1() -> dict[str, dict[str, float]]:
     """Energy per Sign+Verify vs key size, prime-field architectures."""
     series = {}
@@ -44,20 +52,27 @@ def fig7_1() -> dict[str, dict[str, float]]:
     return series
 
 
+#: Figure 7.2's key sizes.
+FIG_7_2_CURVES = ("P-192", "P-256")
+
+
+@reads(FIG_7_2_CURVES, icache=[ISA_EXT_IC])
 def fig7_2() -> dict[str, dict[str, float]]:
     """Energy breakdown at 192- and 256-bit across prime architectures."""
     out = {}
-    for curve in ("P-192", "P-256"):
+    for curve in FIG_7_2_CURVES:
         for config in ("baseline", "isa_ext", "isa_ext_ic", "monte"):
             out[f"{curve}/{config}"] = _breakdown(curve, config)
     return out
 
 
+@reads(PRIME_CURVES)
 def fig7_3() -> dict[str, dict[str, float]]:
     """Baseline breakdown across the five prime fields."""
     return {c: _breakdown(c, "baseline") for c in PRIME_CURVES}
 
 
+@reads(PRIME_CURVES)
 def fig7_4() -> dict[str, dict[str, float]]:
     """ISA-extended and Monte breakdowns across the prime fields."""
     out = {}
@@ -67,6 +82,7 @@ def fig7_4() -> dict[str, dict[str, float]]:
     return out
 
 
+@reads(BINARY_CURVES)
 def fig7_5() -> dict[str, dict[str, float]]:
     """Binary fields: software-only baseline vs binary ISA extensions."""
     return {
@@ -76,11 +92,13 @@ def fig7_5() -> dict[str, dict[str, float]]:
     }
 
 
+@reads(BINARY_CURVES)
 def fig7_6() -> dict[str, dict[str, float]]:
     """Binary ISA-extension breakdown across the binary fields."""
     return {c: _breakdown(c, "binary_isa") for c in BINARY_CURVES}
 
 
+@reads(PRIME_CURVES + BINARY_CURVES)
 def fig7_7() -> dict[str, dict[str, float]]:
     """Prime vs binary at equivalent security, all architectures."""
     series: dict[str, dict[str, float]] = {}
@@ -99,6 +117,7 @@ def fig7_7() -> dict[str, dict[str, float]]:
     return series
 
 
+@reads(PRIME_CURVES + BINARY_CURVES)
 def fig7_8() -> dict[str, dict[str, float]]:
     """Monte vs Billie breakdowns across field sizes."""
     out = {}
@@ -108,10 +127,15 @@ def fig7_8() -> dict[str, dict[str, float]]:
     return out
 
 
+#: Figure 7.9's (prime, binary) curve pairs at equal security.
+FIG_7_9_PAIRS = (("P-192", "B-163"), ("P-256", "B-283"))
+
+
+@reads(sum(FIG_7_9_PAIRS, ()))
 def fig7_9() -> dict[str, dict[str, float]]:
     """Accelerated-architecture breakdowns at 192/163 and 256/283 bits."""
     out = {}
-    for prime, binary in (("P-192", "B-163"), ("P-256", "B-283")):
+    for prime, binary in FIG_7_9_PAIRS:
         out[f"{prime}/monte"] = _breakdown(prime, "monte")
         out[f"{binary}/billie"] = _breakdown(binary, "billie")
         out[f"{prime}/isa_ext"] = _breakdown(prime, "isa_ext")
@@ -119,6 +143,7 @@ def fig7_9() -> dict[str, dict[str, float]]:
     return out
 
 
+@reads(PRIME_CURVES + BINARY_CURVES, icache=[ISA_EXT_IC])
 def fig7_10() -> dict[str, dict[str, float]]:
     """Static and dynamic power of the evaluated microarchitectures."""
     points = [
@@ -145,29 +170,42 @@ def fig7_10() -> dict[str, dict[str, float]]:
     return out
 
 
+#: Figure 7.11's key sizes.
+FIG_7_11_CURVES = ("P-192", "P-256", "P-384")
+
+
+@reads(FIG_7_11_CURVES)
 def fig7_11() -> dict[str, dict[str, float]]:
     """Ideal-instruction-cache energy improvement vs key size."""
     out: dict[str, dict[str, float]] = {}
     for config in ("baseline", "isa_ext", "monte"):
         out[config] = {}
-        for curve in ("P-192", "P-256", "P-384"):
+        for curve in FIG_7_11_CURVES:
             full = _model().report(curve, config)
             ideal = _model().report(curve, config, ideal_icache=True)
             out[config][curve] = 100.0 * (1 - ideal.total_uj / full.total_uj)
     return out
 
 
+#: Figure 7.12's I-cache configurations: 1-8 KB, without and with
+#: prefetch, by plot label.
+FIG_7_12_CACHES = {
+    f"{size_kb}KB" + ("-p" if prefetch else ""):
+        with_icache(ISA_EXT, size_kb * 1024, prefetch)
+    for size_kb in (1, 2, 4, 8) for prefetch in (False, True)
+}
+
+
+@reads(("P-192",), icache=FIG_7_12_CACHES.values())
 def fig7_12() -> dict[str, float]:
     """Energy per 192-bit Sign+Verify vs real I-cache configuration."""
     out = {"no cache": _energy_uj("P-192", "isa_ext")}
-    for size_kb in (1, 2, 4, 8):
-        for prefetch in (False, True):
-            config = with_icache(ISA_EXT, size_kb * 1024, prefetch)
-            label = f"{size_kb}KB" + ("-p" if prefetch else "")
-            out[label] = _energy_uj("P-192", config)
+    for label, config in FIG_7_12_CACHES.items():
+        out[label] = _energy_uj("P-192", config)
     return out
 
 
+@reads(PRIME_CURVES, icache=[ISA_EXT_IC])
 def fig7_13() -> dict[str, dict[str, float]]:
     """Prime ISA ext + 4KB I-cache breakdown across the prime fields."""
     return {c: _breakdown(c, "isa_ext_ic") for c in PRIME_CURVES}
@@ -236,12 +274,11 @@ def sec7_8_multiplier_ablation() -> dict[str, dict[str, float]]:
     }
 
 
+@reads(future_work.CURVES, icache=[ISA_EXT_IC_FLASH])
 def sec8_future_work() -> dict[str, dict[str, float]]:
     """The Section 8 future-work studies (savings vs base config, %)."""
-    from repro.model.future_work import summary as fw_summary
-
     out: dict[str, dict[str, float]] = {}
-    for study, results in fw_summary().items():
+    for study, results in future_work.summary().items():
         out[study] = {
             f"{r.curve}:{r.variant_config}": r.saving_percent
             for r in results
@@ -249,13 +286,12 @@ def sec8_future_work() -> dict[str, dict[str, float]]:
     return out
 
 
+@reads(datapath64.CURVES)
 def sec8_datapath64() -> dict[str, dict[str, float]]:
     """The Section 8 64-bit-datapath estimate (speedup / energy factor)."""
-    from repro.model.datapath64 import study as dp64_study
-
     out: dict[str, dict[str, float]] = {}
     for config in ("baseline", "isa_ext"):
-        for curve, e in dp64_study(config).items():
+        for curve, e in datapath64.study(config).items():
             out[f"{config}/{curve}"] = {
                 "speedup": e.speedup,
                 "energy_factor": e.energy_factor,
@@ -263,6 +299,12 @@ def sec8_datapath64() -> dict[str, dict[str, float]]:
     return out
 
 
+#: The ECC key sizes compared against RSA; the node-signing comparison
+#: prices P-192 (``rsa_compare.WANDER_CURVE``).
+RSA_COMPARE_CURVES = ("P-192", "P-256", "P-384")
+
+
+@reads(RSA_COMPARE_CURVES)
 def background_rsa() -> dict[str, dict[str, float]]:
     """ECC vs security-equivalent RSA on the baseline (Section 2.1.5)."""
     from repro.model.rsa_compare import (
@@ -271,7 +313,7 @@ def background_rsa() -> dict[str, dict[str, float]]:
     )
 
     out: dict[str, dict[str, float]] = {}
-    for curve in ("P-192", "P-256", "P-384"):
+    for curve in RSA_COMPARE_CURVES:
         cmp = compare_handshake(curve)
         out[f"{curve} vs RSA-{cmp.rsa_bits}"] = {
             "ecc_uj": cmp.ecc_uj, "rsa_uj": cmp.rsa_uj,

@@ -72,6 +72,12 @@ class ArtifactSpec:
         """Module defining the producer -- the root of its code digest."""
         return self.producer.__module__
 
+    @property
+    def units(self) -> tuple[str, ...]:
+        """The shared-model units the producer declares it reads
+        (:func:`repro.model.units.reads`); empty for the rest."""
+        return getattr(self.producer, "model_units", ())
+
     # -- computation --------------------------------------------------------
 
     def produce(self):

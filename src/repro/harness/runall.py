@@ -276,6 +276,8 @@ def main(argv: list[str] | None = None) -> int:
             "cache_misses": result.cache_misses,
             "retries": result.retries,
             "reaped": result.reaped,
+            "units": result.units,
+            "units_inline": result.units_inline,
         }
         args.stats_json.parent.mkdir(parents=True, exist_ok=True)
         args.stats_json.write_text(

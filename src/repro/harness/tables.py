@@ -12,6 +12,7 @@ from repro.accel.ffau import FFAU, FFAUConfig
 from repro.energy.components import FFAUPower
 from repro.model.arm import ARM_CORTEX_M3
 from repro.model.system import shared_model as _model
+from repro.model.units import reads
 
 PRIME_CURVES = ("P-192", "P-224", "P-256", "P-384", "P-521")
 BINARY_CURVES = ("B-163", "B-233", "B-283", "B-409", "B-571")
@@ -43,6 +44,7 @@ PAPER_TABLE_7_2 = {
 }
 
 
+@reads(PRIME_CURVES)
 def table7_1() -> list[dict]:
     """Latency per operation (100K cycles), prime microarchitectures."""
     rows = []
@@ -60,6 +62,7 @@ def table7_1() -> list[dict]:
     return rows
 
 
+@reads(BINARY_CURVES)
 def table7_2() -> list[dict]:
     """Latency per operation (100K cycles), binary microarchitectures."""
     rows = []

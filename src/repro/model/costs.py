@@ -16,13 +16,13 @@ fields by their fold-term counts (see ``repro.mp.reduce``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.ec.curves import Curve
 from repro.fields.inversion import fermat_prime_opcounts, itoh_tsujii_opcounts
 from repro.mp.reduce import reduction_fold_ops
 from repro.kernels.runner import shared_runner
 from repro.model.configs import MicroarchConfig
+from repro.model.units import unit
 
 # ---------------------------------------------------------------------------
 # Calibrated software-overhead constants (cycles).
@@ -144,7 +144,7 @@ def software_costs(curve_name: str,
                            config.binary_isa_ext)
 
 
-@lru_cache(maxsize=None)
+@unit
 def _software_costs(curve_name: str, prime_isa_ext: bool,
                     binary_isa_ext: bool) -> dict[str, OpCost]:
     from repro.ec.curves import get_curve

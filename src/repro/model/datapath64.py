@@ -115,7 +115,10 @@ def estimate(curve_name: str, config_name: str = "baseline"
                               report32.total_uj, energy64)
 
 
+#: The prime key sizes :func:`study` estimates.
+CURVES = ("P-192", "P-256", "P-384", "P-521")
+
+
 def study(config: str = "baseline") -> dict[str, Datapath64Estimate]:
     """The Section 8 question across the prime key sizes."""
-    return {curve: estimate(curve, config)
-            for curve in ("P-192", "P-256", "P-384", "P-521")}
+    return {curve: estimate(curve, config) for curve in CURVES}

@@ -29,6 +29,14 @@ from functools import lru_cache
 
 from repro.model.system import SystemModel
 
+#: The curves the Billie and Monte studies price; the flash study
+#: prices P-192 alone.
+BILLIE_CURVES = ("B-163", "B-283", "B-571")
+MONTE_CURVES = ("P-192", "P-256", "P-521")
+FLASH_CURVE = "P-192"
+#: Every curve the four studies price.
+CURVES = BILLIE_CURVES + MONTE_CURVES + (FLASH_CURVE,)
+
 
 @dataclass(frozen=True)
 class VariantResult:
@@ -65,7 +73,7 @@ def billie_register_file_study() -> list[VariantResult]:
     """
     model = SystemModel()
     out = []
-    for curve in ("B-163", "B-283", "B-571"):
+    for curve in BILLIE_CURVES:
         for variant in ("billie_sram", "billie_gated", "billie_sram_gated"):
             out.append(_compare(model, curve, "billie", variant))
     return out
@@ -76,7 +84,7 @@ def monte_gating_study() -> list[VariantResult]:
     """Clock gating the FFAU while Pete runs the protocol arithmetic."""
     model = SystemModel()
     return [_compare(model, curve, "monte", "monte_gated")
-            for curve in ("P-192", "P-256", "P-521")]
+            for curve in MONTE_CURVES]
 
 
 @lru_cache(maxsize=1)
@@ -89,7 +97,7 @@ def order_inversion_study() -> list[VariantResult]:
     """
     model = SystemModel()
     return [_compare(model, curve, "monte", "monte_oinv")
-            for curve in ("P-192", "P-256", "P-521")]
+            for curve in MONTE_CURVES]
 
 
 @lru_cache(maxsize=1)
@@ -101,12 +109,12 @@ def flash_memory_study() -> list[VariantResult]:
     more valuable than the ROM-based Section 7.5 sweep suggested.
     """
     model = SystemModel()
-    out = [_compare(model, "P-192", "baseline", "baseline_flash")]
+    out = [_compare(model, FLASH_CURVE, "baseline", "baseline_flash")]
     # the I-cache's value under flash: compare flash-without-cache
     # against flash-with-cache
-    flash_nocache = model.report("P-192", "baseline_flash").total_uj
-    flash_cache = model.report("P-192", "isa_ext_ic_flash").total_uj
-    out.append(VariantResult("P-192", "baseline_flash",
+    flash_nocache = model.report(FLASH_CURVE, "baseline_flash").total_uj
+    flash_cache = model.report(FLASH_CURVE, "isa_ext_ic_flash").total_uj
+    out.append(VariantResult(FLASH_CURVE, "baseline_flash",
                              "isa_ext_ic_flash", flash_nocache,
                              flash_cache))
     return out

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
+from repro.model.units import unit
 from repro.pete.icache import ICache, ICacheConfig
 from repro.pete.stats import CoreStats
 
@@ -167,7 +167,7 @@ def replay_line_runs(cache: ICache,
     return stalls
 
 
-@lru_cache(maxsize=None)
+@unit
 def cache_study(size_bytes: int, prefetch: bool,
                 point_ops: int = 150) -> CacheStudyResult:
     """Run the synthetic ECDSA trace through the real cache simulator."""

@@ -16,6 +16,7 @@ from functools import lru_cache
 from repro.ec.curves import get_curve
 from repro.ecdsa.core import sign_digest, verify_digest
 from repro.ecdsa import generate_keypair
+from repro.model.units import unit
 
 #: Field-op categories the cycle model prices.
 FIELD_OPS = ("fmul", "fsqr", "fadd", "fsub", "finv")
@@ -47,7 +48,7 @@ class EcdsaOpCounts:
     verify: OpCounts
 
 
-@lru_cache(maxsize=None)
+@unit
 def ecdsa_opcounts(curve_name: str) -> EcdsaOpCounts:
     """Measure sign/verify operation counts on the given curve.
 

@@ -28,6 +28,7 @@ from repro.model.configs import MicroarchConfig, get_config
 from repro.model.costs import OpCost, software_costs
 from repro.model.icache_model import cache_study
 from repro.model.opcount import ecdsa_opcounts
+from repro.model.units import unit
 
 #: Fixed per-primitive software cycles outside the big-number math:
 #: SHA-256 of the message, nonce derivation, harness glue.
@@ -473,7 +474,7 @@ def _shared_monte(p: int) -> Monte:
     return Monte(p)
 
 
-@lru_cache(maxsize=None)
+@unit
 def _billie_primitive_run(curve_name: str, primitive: str) -> dict:
     """Drive one full primitive's scalar multiplication on Billie."""
     from repro.model.billie_driver import run_sliding_window, run_twin

@@ -7,17 +7,20 @@ cross-product as independent artifact tasks, in parallel, and memoizes
 each task's result on disk keyed by *what produced it*: the producing
 code's content (static import-closure digest), the calibration in
 effect, and the artifact parameters.  A warm rerun of the full sweep
-touches zero simulators; editing a kernel, cost table or accelerator
-invalidates exactly the artifacts that can reach the edit.
+touches zero simulators.  Every producer's closure covers the model,
+kernel, accelerator, field, analysis and harness packages, so an edit
+in any of them invalidates all 26 artifacts.
 
 * :mod:`repro.sweep.keys` -- code digests and cache keys;
 * :mod:`repro.sweep.cache` -- the on-disk content-addressed store;
 * :mod:`repro.sweep.engine` -- the process-pool executor (per-task
   timeout, bounded retry, failed-task skip, ledger records).
 
-Every task is one artifact; simulated kernels inside a task run on the
-reference interpreter (:meth:`repro.pete.cpu.Pete.run`).  CLI: ``python -m
-repro.sweep`` (cached, parallel ``runall``); library:
+A pooled run's tasks are the artifacts that read no shared-model unit
+and the units the others read (:mod:`repro.model.units`); the parent
+seeds each unit and renders its readers inline.  Simulated kernels run
+on the reference interpreter (:meth:`repro.pete.cpu.Pete.run`).
+CLI: ``python -m repro.sweep`` (cached, parallel ``runall``); library:
 :func:`repro.api.sweep`, and :func:`repro.api.compute_artifact` with
 ``cache``/``cache_dir``/``jobs`` (a one-spec engine run).
 """

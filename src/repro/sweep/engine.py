@@ -8,18 +8,30 @@ memoizing each task's payload in a
 :func:`~repro.sweep.keys.artifact_key`.  A warm cache therefore replays
 the whole sweep without running a single Pete/Monte/Billie simulation.
 
-Robustness: every task gets a per-task timeout (pooled runs), a bounded
-number of retries, and graceful degradation -- a task that keeps
-failing is reported and *skipped*, never fatal to the sweep.  Pooled
-tasks each run in a dedicated worker process, so the timeout clock
-starts when the task actually starts (queued tasks are never falsely
-timed out) and a genuinely hung simulation is killed, freeing its slot
-instead of stalling the sweep.  Cache entries and ledger records are
-written as each task completes, so an interrupted cold sweep still
-warms the cache for its rerun.  Each task emits one ``sweep`` record
-(status, attempts, wall-clock, cycles, energy) into the
-:mod:`repro.regress` ledger, so ``python -m repro.regress diff`` can
-compare serial vs parallel or cold vs warm runs shard-against-shard.
+Unit phase: with ``jobs > 1``, the pool's tasks are the artifacts that
+read no shared-model unit (:mod:`repro.model.units`) and every unit the
+others declare that this process does not hold yet, each computed once.
+The parent seeds the units into its memos and renders their readers
+inline.  Unit tasks write no cache entry, ledger record or task count;
+a unit that keeps failing fails its readers.
+
+Robustness: every task gets a bounded number of retries and graceful
+degradation -- a task that keeps failing is reported and *skipped*,
+never fatal to the sweep.  Pool tasks (unit-free artifacts and units)
+each run in a dedicated worker process under a per-task timeout whose
+clock starts when the task actually starts (queued tasks are never
+falsely timed out), and a genuinely hung simulation is killed, freeing
+its slot instead of stalling the sweep.  Everything that runs in the
+parent -- an inline run, and a pooled run's unit readers -- has no
+timeout; a reader that reads a unit it does not declare computes it
+there (``SweepResult.units_inline``).  Cache entries and ledger
+records are written as each task completes, so an interrupted cold
+sweep still warms the cache for its rerun (in a pooled run, only with
+the artifacts that read no unit: the others land after the unit
+phase).  Each task emits one ``sweep`` record (status, attempts,
+wall-clock, cycles, energy) into the :mod:`repro.regress` ledger, so
+``python -m repro.regress diff`` can compare serial vs parallel or
+cold vs warm runs shard-against-shard.
 """
 
 from __future__ import annotations
@@ -39,9 +51,9 @@ from repro.sweep.keys import artifact_key
 if TYPE_CHECKING:
     from repro.energy.calibration import Calibration
 
-#: Per-task wall-clock budget in pooled runs, measured from the moment
-#: the task's worker process starts (inline runs are not preemptible
-#: and ignore it).
+#: Per-task wall-clock budget of a pool task, measured from the moment
+#: its worker process starts (work in the parent -- inline runs and a
+#: pooled run's unit readers -- is not preemptible and ignores it).
 DEFAULT_TIMEOUT_S = 600.0
 #: Additional attempts after the first failure.
 DEFAULT_RETRIES = 1
@@ -58,8 +70,14 @@ def _compute_payload(kind: str, name: str,
     :class:`~repro.model.system.SystemModel` around the producer, so a
     worker process -- which does not share the parent's session state
     under ``spawn``/``forkserver`` start methods -- prices with the
-    same calibration the result will be cached under.
+    same calibration the result will be cached under.  A ``"unit"``
+    task fills one shared-model unit (:func:`repro.model.units.compute`),
+    which no calibration enters.
     """
+    if kind == "unit":
+        from repro.model import units
+
+        return units.compute(name)
     from repro.harness.registry import get_spec
 
     spec = get_spec(kind, name)
@@ -107,6 +125,15 @@ def _reap(proc) -> None:
         proc.join()
 
 
+@dataclass(frozen=True)
+class _UnitTask:
+    """A pool task that fills one shared-model unit."""
+
+    name: str
+    kind = "unit"
+    key = property(lambda self: (self.kind, self.name))
+
+
 @dataclass
 class TaskOutcome:
     """What happened to one artifact task."""
@@ -142,6 +169,10 @@ class SweepResult:
     #: ResultCache hit/miss movement during this run (0/0 uncached)
     cache_hits: int = 0
     cache_misses: int = 0
+    #: units computed by pool tasks; unit memo misses while rendering
+    #: their readers (0 when every producer declares what it reads)
+    units: int = 0
+    units_inline: int = 0
 
     @property
     def hits(self) -> int:
@@ -168,7 +199,10 @@ class SweepResult:
                f"{self.hits} cached, {self.computed} computed, "
                f"{len(self.failed)} failed, jobs={self.jobs}"
                f"; cache {self.cache_hits} hits / "
-               f"{self.cache_misses} misses")
+               f"{self.cache_misses} misses"
+               f"; units {self.units} pooled / {self.units_inline} inline")
+        if self.units_inline:
+            out += " (undeclared unit reads ran in the parent, untimed)"
         if self.reaped:
             out += f"; {self.reaped} reaped"
         return out
@@ -185,7 +219,8 @@ class SweepEngine:
     priced with the calibration they are cached under.  ``compute`` is
     injectable for tests; an injected compute is responsible for its
     own calibration handling (the engine still keys the cache with
-    ``calibration``).
+    ``calibration``), and in a pooled run it also receives a
+    ``("unit", name)`` task for each unit the specs declare.
     """
 
     def __init__(self, jobs: int = 1, cache=None,
@@ -225,8 +260,10 @@ class SweepEngine:
         cache_base = ((self.cache.hits, self.cache.misses)
                       if self.cache is not None else (0, 0))
 
+        units = (0, 0)
         with obs.span("sweep.run", jobs=str(self.jobs),
                       tasks=str(len(specs))):
+            settle_hit = self._settler(outcomes, keys, emit_span=True)
             pending = []
             for spec in specs:
                 if self.cache is not None:
@@ -235,24 +272,22 @@ class SweepEngine:
                         spec, calibration=self.calibration)
                     payload = self.cache.get(keys[spec.key])
                     if payload is not None:
-                        outcome = TaskOutcome(
+                        settle_hit(spec, TaskOutcome(
                             spec.kind, spec.name, "hit",
                             wall_s=time.perf_counter() - start,
-                            payload=payload)
-                        outcomes[spec.key] = outcome
-                        self.ledger.append(self._record(outcome))
-                        self._note_outcome(outcome, emit_span=True)
+                            payload=payload))
                         continue
                 pending.append(spec)
 
             if pending:
-                if self.jobs > 1:
-                    self._run_pool(pending, outcomes, keys)
-                else:
+                if self.jobs == 1:
                     self._run_inline(pending, outcomes, keys)
+                else:
+                    units = self._run_units(pending, outcomes, keys)
 
         result = SweepResult([outcomes[spec.key] for spec in specs],
-                             jobs=self.jobs)
+                             jobs=self.jobs, units=units[0],
+                             units_inline=units[1])
         if self.cache is not None:
             result.cache_hits = self.cache.hits - cache_base[0]
             result.cache_misses = self.cache.misses - cache_base[1]
@@ -281,17 +316,25 @@ class SweepEngine:
 
     # -- completion ---------------------------------------------------------
 
-    def _finish(self, spec, outcome: TaskOutcome, keys) -> None:
-        """Persist one settled task immediately, so an interrupted
-        sweep keeps every already-computed payload."""
-        if outcome.status == "computed" and self.cache is not None:
-            self.cache.put(keys[spec.key], outcome.payload,
-                           artifact=outcome.artifact)
-        self.ledger.append(self._record(outcome))
+    def _settler(self, outcomes, keys, emit_span: bool = False):
+        """The callback that settles one artifact task: its outcome,
+        cache entry and ledger record are persisted immediately, so an
+        interrupted sweep keeps every already-computed payload."""
+
+        def settle(spec, outcome: TaskOutcome) -> None:
+            outcomes[spec.key] = outcome
+            if outcome.status == "computed" and self.cache is not None:
+                self.cache.put(keys[spec.key], outcome.payload,
+                               artifact=outcome.artifact)
+            self.ledger.append(self._record(outcome))
+            self._note_outcome(outcome, emit_span=emit_span)
+
+        return settle
 
     # -- execution paths ----------------------------------------------------
 
     def _run_inline(self, pending, outcomes, keys) -> None:
+        settle = self._settler(outcomes, keys, emit_span=True)
         for spec in pending:
             start = time.perf_counter()
             error = None
@@ -301,27 +344,64 @@ class SweepEngine:
                 except Exception as exc:
                     error = f"{type(exc).__name__}: {exc}"
                     continue
-                outcomes[spec.key] = TaskOutcome(
+                outcome = TaskOutcome(
                     spec.kind, spec.name, "computed",
                     wall_s=time.perf_counter() - start,
                     attempts=attempt, payload=payload)
                 break
             else:
-                outcomes[spec.key] = TaskOutcome(
+                outcome = TaskOutcome(
                     spec.kind, spec.name, "failed",
                     wall_s=time.perf_counter() - start,
                     attempts=self.retries + 1, error=error)
-            self._finish(spec, outcomes[spec.key], keys)
-            self._note_outcome(outcomes[spec.key], emit_span=True)
+            settle(spec, outcome)
 
-    def _run_pool(self, pending, outcomes, keys) -> None:
+    def _run_units(self, pending, outcomes, keys) -> tuple[int, int]:
+        """Pool the unit-free artifacts, then the units the rest read;
+        seed the units here and render their readers inline, without a
+        timeout.  A reader of a failed unit fails unrendered: rendering
+        would recompute the unit here, where nothing can time it out.
+        Returns ``(units computed, unit memo misses while rendering)``."""
+        from repro.model import units
+
+        plan = units.plan({name for spec in pending for name in spec.units})
+        settle = self._settler(outcomes, keys)
+        unit_errors: dict[str, str] = {}
+
+        def settled(task, outcome: TaskOutcome) -> None:
+            if task.kind != "unit":
+                settle(task, outcome)
+            elif outcome.ok:
+                units.seed(outcome.payload)
+            else:
+                unit_errors[task.name] = outcome.error
+
+        self._run_pool([spec for spec in pending if not spec.units]
+                       + [_UnitTask(name) for name in plan], settled)
+
+        readers = []
+        settle_failed = self._settler(outcomes, keys, emit_span=True)
+        for spec in pending:
+            failed = [name for name in spec.units if name in unit_errors]
+            if failed:
+                settle_failed(spec, TaskOutcome(
+                    spec.kind, spec.name, "failed",
+                    error=f"unit {failed[0]}: {unit_errors[failed[0]]}"))
+            elif spec.units:
+                readers.append(spec)
+        misses = units.misses()
+        self._run_inline(readers, outcomes, keys)
+        return len(plan) - len(unit_errors), units.misses() - misses
+
+    def _run_pool(self, pending, settled) -> None:
         """One dedicated worker process per task attempt.
 
         At most ``self.jobs`` workers run at once.  Each worker reports
         over a pipe; its deadline is measured from ``Process.start()``,
         and a worker that outlives it is killed -- the slot frees up
         for the queued/retried tasks instead of the sweep blocking on a
-        hung simulation.
+        hung simulation.  ``settled(task, outcome)`` receives each
+        task's final outcome.
         """
         ctx = multiprocessing.get_context(self.mp_context)
         tel = obs.get()
@@ -332,14 +412,11 @@ class SweepEngine:
         running: dict[object, tuple] = {}
 
         def settle(spec, attempt, status, payload=None, error=None):
-            outcome = TaskOutcome(
+            settled(spec, TaskOutcome(
                 spec.kind, spec.name, status,
                 wall_s=time.perf_counter() - first_start[spec.key],
                 attempts=attempt, error=error, payload=payload,
-                reaped=reap_counts.get(spec.key, 0))
-            outcomes[spec.key] = outcome
-            self._finish(spec, outcome, keys)
-            self._note_outcome(outcome)
+                reaped=reap_counts.get(spec.key, 0)))
 
         def retry_or_fail(spec, attempt, error):
             if attempt <= self.retries:

@@ -10,10 +10,14 @@ three into one key:
   builds the static import graph, *including* lazy function-level
   imports.  A producer's digest covers the transitive closure of
   modules its defining module can reach, plus the ``__init__`` of every
-  enclosing package (importing ``a.b.c`` executes them).  Editing a
-  kernel generator, a cost table or an accelerator therefore changes
-  the digest of exactly the artifacts whose producers can reach the
-  edited module -- and nothing else.
+  enclosing package (importing ``a.b.c`` executes them).  Every
+  producer lives in :mod:`repro.harness.tables` or
+  :mod:`repro.harness.figures`, and every package ``__init__`` imports
+  its submodules eagerly, so both closures are the same 97 of the 134
+  modules: an edit under ``model``, ``kernels``, ``accel``, ``fields``,
+  ``analysis`` or ``harness``, a comment included, changes every
+  artifact's key.  Edits outside the closures (``sweep``, ``serve``,
+  ``obs``, ...) change none.
 * **calibration fingerprint** --
   :meth:`repro.energy.calibration.Calibration.fingerprint`, a content
   hash of every coefficient.
@@ -67,6 +71,8 @@ class CodeGraph:
         self.edges: dict[str, frozenset[str]] = {
             name: self._imports_of(name, path)
             for name, path in self.files.items()}
+        #: digests by module: exact, since the graph is a snapshot
+        self._digests: dict[str, str] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -154,10 +160,13 @@ class CodeGraph:
 
     def digest(self, module: str) -> str:
         """Content hash over the sources of ``module``'s closure."""
-        pairs = sorted((name, self.source_sha[name])
-                       for name in self.closure(module))
-        blob = json.dumps(pairs)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        if module not in self._digests:
+            pairs = sorted((name, self.source_sha[name])
+                           for name in self.closure(module))
+            blob = json.dumps(pairs)
+            self._digests[module] = hashlib.sha256(
+                blob.encode("utf-8")).hexdigest()
+        return self._digests[module]
 
 
 def _read_bytes(path: str) -> bytes:

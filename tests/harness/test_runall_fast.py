@@ -7,7 +7,7 @@ from repro.harness.runall import main
 #: The keys ``--stats-json`` writes, cold or warm, serial or pooled.
 STATS_KEYS = {
     "artifacts", "computed", "cached", "failed", "jobs", "cache_hits",
-    "cache_misses", "retries", "reaped",
+    "cache_misses", "retries", "reaped", "units", "units_inline",
 }
 
 def test_stats_json_cold_then_warm(tmp_path, capsys):

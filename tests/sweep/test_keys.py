@@ -76,6 +76,21 @@ def test_editing_init_invalidates_everything(pkg):
         assert after.digest(mod) != before.digest(mod)
 
 
+def test_digest_walks_each_closure_once_per_graph(pkg):
+    g = graph(pkg)
+    walks = []
+    closure = g.closure
+    g.closure = lambda module: walks.append(module) or closure(module)
+    first = g.digest("pkg.tables")
+    assert g.digest("pkg.tables") == first
+    g.digest("pkg.figures")
+    g.digest("pkg.figures")
+    assert walks == ["pkg.tables", "pkg.figures"]
+    # a fresh graph still sees an edit
+    (pkg / "kernels.py").write_text("WIDTH = 16\n")
+    assert graph(pkg).digest("pkg.tables") != first
+
+
 def test_unknown_module_raises(pkg):
     with pytest.raises(KeyError):
         graph(pkg).closure("pkg.nope")
