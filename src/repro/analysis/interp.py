@@ -271,12 +271,13 @@ def _build_function(program: AsmProgram, cfg: CFG, entry: int,
                 return False
             b = parent
 
-    back = frozenset((u, v) for u, targets in succ.items()
-                     for v in targets if dominates(v, u))
+    # a dominator precedes what it dominates in RPO, so only retreating
+    # edges can be back edges
+    retreating = [(u, v) for u, targets in succ.items() for v in targets
+                  if rpo_index[v] <= rpo_index[u]]
+    back = frozenset((u, v) for u, v in retreating if dominates(v, u))
     # reducibility: RPO must topologically order the non-back edges
-    irreducible = any(rpo_index[v] <= rpo_index[u]
-                      for u, targets in succ.items() for v in targets
-                      if (u, v) not in back)
+    irreducible = any(edge not in back for edge in retreating)
 
     # natural loops, merged per header
     bodies: dict[int, set[int]] = {}

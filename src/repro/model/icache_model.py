@@ -13,8 +13,9 @@ run it through the *real* direct-mapped cache + stream-buffer simulator
 (:mod:`repro.pete.icache`).  The trace generator is the substitution
 documented in DESIGN.md; the cache, prefetcher, fill traffic and miss
 penalties are simulated, not modeled.  The trace is generated as line
-runs, and only the first fetch of each run goes through the cache (see
-:func:`replay_line_runs`).  The resulting miss profile
+runs (first address, fetch count), and :meth:`ICache.replay` walks them
+in one loop: only a run's first fetch can miss, and the rest count as
+hits (see :func:`replay_line_runs`).  The resulting miss profile
 reproduces the paper's qualitative findings: the big miss-rate drop
 arrives at 4 KB (the working-set knee), the drop beyond 4 KB is small
 (cold-code floor), and prefetch coverage is high for the large caches'
@@ -150,21 +151,12 @@ def ecdsa_instruction_trace(point_ops: int = 150,
 
 def replay_line_runs(cache: ICache,
                      runs: Iterable[tuple[int, int]]) -> int:
-    """Fetch line runs through ``cache``; returns the stall cycles.
-
-    Only a run's first fetch goes through :meth:`ICache.access`.  The
-    rest of the run are counted as hits, which is exact: in a
-    direct-mapped cache with a single-entry stream buffer, re-fetching
-    the line just accessed is a hit (the access left its tag in place)
-    and changes no state.
-    """
-    stalls = repeats = 0
-    for first, count in runs:
-        stalls += cache.access(first)
-        repeats += count - 1
-    cache.stats.icache_accesses += repeats
-    cache.stats.icache_hits += repeats
-    return stalls
+    """Fetch line runs through ``cache`` in one loop
+    (:meth:`ICache.replay`); returns the stall cycles.  Counting a run's
+    repeat fetches as hits is exact: in a direct-mapped cache with a
+    single-entry stream buffer, re-fetching the line just accessed is a
+    hit and changes no state."""
+    return cache.replay(runs)
 
 
 @unit

@@ -10,11 +10,30 @@ The prefetcher is a single-entry stream buffer (after Jouppi): on a miss,
 the next sequential line is fetched into the buffer; a miss that hits the
 buffer promotes the line into the cache without stalling and prefetches
 the next line.
+
+One fetch of address ``a`` works on line ``a // line_bytes``, held at
+index ``line % n_lines``:
+
+* **hit** -- the tag at that index is the line: no stall, no state
+  changes;
+* **stream-buffer hit** (prefetch on, the buffer holds the line) -- a
+  miss that does not stall: the line fills the cache and the buffer
+  fetches line + 1 (one ROM line read);
+* **true miss** -- stalls ``miss_penalty`` cycles and reads the line
+  from ROM into the cache; with prefetch on, the buffer then fetches
+  line + 1 (a second ROM line read).
+
+Every fetch counts one access and every miss one fill; with prefetch
+on, every miss counts one prefetch fetch.  :meth:`ICache.replay` runs
+this machine over line runs -- ``count`` consecutive 32-bit fetches
+from ``first`` inside one line -- and :meth:`ICache.access` is its
+one-fetch case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.pete.stats import CoreStats
 from repro.trace.events import (
@@ -62,63 +81,77 @@ class ICache:
         self.tags = [None] * self.config.n_lines
         self._pf_tag = None
 
-    def _split(self, addr: int) -> tuple[int, int]:
-        line_addr = addr // self.config.line_bytes
-        index = line_addr % self.config.n_lines
-        return line_addr, index
-
     def access(self, addr: int, now: int = 0) -> int:
-        """Look up one instruction fetch; returns the stall penalty in
-        cycles (0 on a hit) and updates the event counters.
+        """Look up one instruction fetch: :meth:`replay` of the one-fetch
+        run at ``addr``.  Returns the stall penalty in cycles (0 on a
+        hit); ``now`` is the core cycle that timestamps trace events."""
+        return self.replay(((addr, 1),), now)
 
-        The caller charges ROM line reads through the returned events:
-        every miss costs one ROM line read; a prefetch-buffer hit costs no
-        stall but the buffer then issues the next line's ROM read.
-        ``now`` is the current core cycle, used only to timestamp trace
-        events -- the cache's own state machine never reads it.
+    def replay(self, runs: Iterable[tuple[int, int]], now: int = 0) -> int:
+        """Fetch line runs ``(first, count)``; returns the stall cycles
+        and updates the event counters.
+
+        Only a run's first fetch can miss: it leaves its line's tag in
+        place, so the run's other ``count - 1`` fetches hit and change
+        no state.  The caller charges ROM line reads through the
+        counters: every true miss reads its line, and with prefetch on
+        every miss also reads the next line into the buffer.  ``now`` is
+        the core cycle, used only to timestamp trace events -- the state
+        machine never reads it.
         """
         cfg = self.config
-        self.stats.icache_accesses += 1
-        line_addr, index = self._split(addr)
-        if self.tags[index] == line_addr:
-            self.stats.icache_hits += 1
-            if self.tracer is not None:
-                self.tracer.emit(TraceEvent(
-                    ICACHE_ACCESS, now, 0, addr, "icache", "hit"))
-            return 0
-        self.stats.icache_misses += 1
-        if cfg.prefetch and self._pf_tag == line_addr:
-            # stream-buffer hit: forward + fill cache, prefetch next line
-            self.stats.prefetch_hits += 1
-            self.tags[index] = line_addr
-            self.stats.icache_fills += 1
-            self._pf_tag = line_addr + 1
-            self.stats.prefetch_fetches += 1
-            self.stats.rom_line_reads += 1
-            if self.tracer is not None:
-                self.tracer.emit(TraceEvent(
-                    ICACHE_ACCESS, now, 0, addr, "icache", "pf_hit"))
-                self.tracer.emit(TraceEvent(
-                    ICACHE_FILL, now, 0, addr, "icache", "pf_fill"))
-                self.tracer.emit(TraceEvent(
-                    ROM_LINE, now, 0, addr, "rom", "prefetch"))
-            return 0
-        # true miss: read line from ROM, fill the cache
-        self.stats.rom_line_reads += 1
-        self.tags[index] = line_addr
-        self.stats.icache_fills += 1
-        if self.tracer is not None:
-            self.tracer.emit(TraceEvent(
-                ICACHE_ACCESS, now, 0, addr, "icache", "miss"))
-            self.tracer.emit(TraceEvent(
-                ICACHE_FILL, now, cfg.miss_penalty, addr, "icache", "fill"))
-            self.tracer.emit(TraceEvent(
-                ROM_LINE, now, 0, addr, "rom", "fill"))
+        # n_lines is a power of two, so ``line & mask`` is line % n_lines
+        line_bytes, mask = cfg.line_bytes, cfg.n_lines - 1
+        prefetch, penalty = cfg.prefetch, cfg.miss_penalty
+        tags, pf_tag, tracer = self.tags, self._pf_tag, self.tracer
+        fetches = misses = pf_hits = stalls = 0
+        for first, count in runs:
+            fetches += count
+            line = first // line_bytes
+            index = line & mask
+            if tags[index] == line:
+                outcome = "hit"
+            else:
+                misses += 1
+                tags[index] = line
+                if prefetch and pf_tag == line:
+                    # stream-buffer hit: forward + fill, no stall
+                    pf_hits += 1
+                    outcome = "pf_hit"
+                else:
+                    # true miss: read the line from ROM, fill the cache
+                    stalls += penalty
+                    outcome = "miss"
+                if prefetch:
+                    pf_tag = line + 1
+            if tracer is not None:
+                _trace_run(tracer, cfg, now, first, count, outcome)
+        self._pf_tag = pf_tag
+        prefetches = misses if prefetch else 0
+        stats = self.stats
+        stats.icache_accesses += fetches
+        stats.icache_hits += fetches - misses
+        stats.icache_misses += misses
+        stats.icache_fills += misses
+        stats.prefetch_hits += pf_hits
+        stats.prefetch_fetches += prefetches
+        stats.rom_line_reads += misses - pf_hits + prefetches
+        return stalls
+
+
+def _trace_run(tracer, cfg: ICacheConfig, now: int, first: int, count: int,
+               outcome: str) -> None:
+    """The trace events of one line run, in fetch order."""
+    emit = tracer.emit
+    emit(TraceEvent(ICACHE_ACCESS, now, 0, first, "icache", outcome))
+    if outcome == "pf_hit":
+        emit(TraceEvent(ICACHE_FILL, now, 0, first, "icache", "pf_fill"))
+        emit(TraceEvent(ROM_LINE, now, 0, first, "rom", "prefetch"))
+    elif outcome == "miss":
+        emit(TraceEvent(ICACHE_FILL, now, cfg.miss_penalty, first,
+                        "icache", "fill"))
+        emit(TraceEvent(ROM_LINE, now, 0, first, "rom", "fill"))
         if cfg.prefetch:
-            self._pf_tag = line_addr + 1
-            self.stats.prefetch_fetches += 1
-            self.stats.rom_line_reads += 1
-            if self.tracer is not None:
-                self.tracer.emit(TraceEvent(
-                    ROM_LINE, now, 0, addr, "rom", "prefetch"))
-        return cfg.miss_penalty
+            emit(TraceEvent(ROM_LINE, now, 0, first, "rom", "prefetch"))
+    for addr in range(first + 4, first + 4 * count, 4):
+        emit(TraceEvent(ICACHE_ACCESS, now, 0, addr, "icache", "hit"))

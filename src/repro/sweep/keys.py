@@ -5,12 +5,14 @@ code that produces it, the calibration coefficients it was priced with,
 and the artifact's own parameters.  :func:`artifact_key` hashes all
 three into one key:
 
-* **code digest** -- :class:`CodeGraph` parses every module of the
-  ``repro`` package with :mod:`ast` (no imports are executed) and
-  builds the static import graph, *including* lazy function-level
-  imports.  A producer's digest covers the transitive closure of
-  modules its defining module can reach, plus the ``__init__`` of every
-  enclosing package (importing ``a.b.c`` executes them).  Every
+* **code digest** -- :class:`CodeGraph` reads and hashes every module
+  of the ``repro`` package at construction.  It parses a module's
+  import statements with :mod:`ast` (no imports are executed) the
+  first time a closure walk reaches it, *including* lazy
+  function-level imports.  A producer's digest covers the transitive
+  closure of modules its defining module can reach, plus the
+  ``__init__`` of every enclosing package (importing ``a.b.c``
+  executes them).  Every
   producer lives in :mod:`repro.harness.tables` or
   :mod:`repro.harness.figures`, and every package ``__init__`` imports
   its submodules eagerly, so both closures are the same 97 of the 134
@@ -53,9 +55,10 @@ def _package_root(package: str) -> str:
 class CodeGraph:
     """Static import graph of one package's sources.
 
-    Built purely from the files on disk at construction time; construct
-    a fresh instance (or call :func:`code_graph.cache_clear`) to pick up
-    edits.
+    A snapshot of the files on disk at construction time: every module
+    is read and hashed then, and its imports are parsed from those same
+    bytes the first time a closure walk reaches it.  Construct a fresh
+    instance (or call :func:`code_graph.cache_clear`) to pick up edits.
     """
 
     def __init__(self, package: str, root: str | os.PathLike | None = None
@@ -65,14 +68,17 @@ class CodeGraph:
         self.files: dict[str, str] = {}      # module name -> file path
         self.packages: set[str] = set()      # names that are __init__.py
         self._scan()
+        #: each module's bytes, until its imports are parsed
+        self._unparsed: dict[str, bytes] = {
+            name: _read_bytes(path) for name, path in self.files.items()}
         self.source_sha: dict[str, str] = {
-            name: hashlib.sha256(_read_bytes(path)).hexdigest()
-            for name, path in self.files.items()}
-        self.edges: dict[str, frozenset[str]] = {
-            name: self._imports_of(name, path)
-            for name, path in self.files.items()}
-        #: digests by module: exact, since the graph is a snapshot
+            name: hashlib.sha256(source).hexdigest()
+            for name, source in self._unparsed.items()}
+        self._edges: dict[str, frozenset[str]] = {}
+        #: digests by module and keys by (spec, calibration): exact,
+        #: since the graph is a snapshot
         self._digests: dict[str, str] = {}
+        self._keys: dict[tuple, str] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -92,9 +98,17 @@ class CodeGraph:
                     name = ".".join([self.package, *parts, filename[:-3]])
                 self.files[name] = os.path.join(dirpath, filename)
 
-    def _imports_of(self, name: str, path: str) -> frozenset[str]:
+    def _imports(self, name: str) -> frozenset[str]:
+        """The package modules ``name`` imports, parsed from its snapshot
+        the first time a walk reaches it (its bytes are released then)."""
+        if name not in self._edges:
+            self._edges[name] = self._imports_of(name,
+                                                 self._unparsed.pop(name))
+        return self._edges[name]
+
+    def _imports_of(self, name: str, source: bytes) -> frozenset[str]:
         try:
-            tree = ast.parse(_read_bytes(path))
+            tree = ast.parse(source)
         except SyntaxError:
             return frozenset()
         out: set[str] = set()
@@ -110,11 +124,11 @@ class CodeGraph:
 
         own_pkg = name if name in self.packages \
             else name.rpartition(".")[0]
-        for node in ast.walk(tree):
+        for node in _import_statements(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     add(alias.name)
-            elif isinstance(node, ast.ImportFrom):
+            else:
                 if node.level:
                     base = own_pkg
                     for _ in range(node.level - 1):
@@ -155,7 +169,7 @@ class CodeGraph:
                 continue
             seen.add(current)
             frontier.extend(self._ancestors(current) - seen)
-            frontier.extend(self.edges.get(current, ()) - seen)
+            frontier.extend(self._imports(current) - seen)
         return frozenset(seen)
 
     def digest(self, module: str) -> str:
@@ -167,6 +181,21 @@ class CodeGraph:
             self._digests[module] = hashlib.sha256(
                 blob.encode("utf-8")).hexdigest()
         return self._digests[module]
+
+
+def _import_statements(tree: ast.Module):
+    """Every ``import`` and ``from ... import`` statement of ``tree``,
+    function- and class-level ones included.  Statements nest only in
+    statement lists (bodies, ``else``/``finally`` blocks, ``except``
+    handlers and ``match`` cases), so the walk visits only those."""
+    stack: list = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+            continue
+        for block in ("body", "orelse", "finalbody", "handlers", "cases"):
+            stack.extend(getattr(node, block, ()))
 
 
 def _read_bytes(path: str) -> bytes:
@@ -192,22 +221,28 @@ def artifact_key(spec: "ArtifactSpec",
 
     ``spec`` is an :class:`repro.harness.registry.ArtifactSpec`;
     ``calibration`` defaults to the process default
-    :data:`~repro.energy.calibration.CALIBRATION`.
+    :data:`~repro.energy.calibration.CALIBRATION`.  Keys are memoized
+    on ``graph`` by ``(spec, calibration)``: both are frozen and the
+    graph is a snapshot, so a memo hit equals a fresh derivation.
     """
     from repro.energy.calibration import CALIBRATION
 
     if graph is None:
         graph = code_graph(spec.producer_module.partition(".")[0])
     cal = calibration if calibration is not None else CALIBRATION
-    payload = {
-        "schema": KEY_SCHEMA,
-        "kind": spec.kind,
-        "name": spec.name,
-        "params": [[str(k), repr(v)] for k, v in spec.params],
-        "producer": f"{spec.producer_module}."
-                    f"{spec.producer.__qualname__}",
-        "code": graph.digest(spec.producer_module),
-        "calibration": cal.fingerprint(),
-    }
-    blob = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    key = graph._keys.get((spec, cal))
+    if key is None:
+        payload = {
+            "schema": KEY_SCHEMA,
+            "kind": spec.kind,
+            "name": spec.name,
+            "params": [[str(k), repr(v)] for k, v in spec.params],
+            "producer": f"{spec.producer_module}."
+                        f"{spec.producer.__qualname__}",
+            "code": graph.digest(spec.producer_module),
+            "calibration": cal.fingerprint(),
+        }
+        blob = json.dumps(payload, sort_keys=True)
+        key = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        graph._keys[(spec, cal)] = key
+    return key

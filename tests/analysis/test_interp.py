@@ -7,9 +7,13 @@ regression is localized here before it surfaces as a refused bound in
 ``verify --all``.
 """
 
+import pytest
+
 from repro.analysis.absdom import AbsState, AbsVal
-from repro.analysis.cfg import AsmProgram
-from repro.analysis.interp import analyze_image
+from repro.analysis.cfg import AsmProgram, build_cfg
+from repro.analysis.interp import _build_function, analyze_image
+from repro.analysis.registry import KERNELS
+from repro.analysis.verify import analyze_spec
 
 HALT = "\n__halt:\n    halt\n"
 
@@ -245,3 +249,117 @@ def test_value_range_tracks_loop_counter():
     """)
     header = program.labels["loop"]
     assert 6 <= result.trip_bounds[(0, header)] <= 7
+
+
+# ---------------------------------------------------------------------------
+# Back edges: the retreating-edge filter loses none
+# ---------------------------------------------------------------------------
+
+
+def _dominators(fn):
+    """Dominator sets by the textbook fixpoint: Dom(entry) = {entry},
+    Dom(n) = {n} | the intersection of Dom(p) over n's predecessors."""
+    dom = {n: set(fn.nodes) for n in fn.nodes}
+    dom[fn.entry] = {fn.entry}
+    changed = True
+    while changed:
+        changed = False
+        for n in fn.nodes - {fn.entry}:
+            new = {n} | set.intersection(*(dom[p] for p in fn.preds[n]))
+            if new != dom[n]:
+                dom[n], changed = new, True
+    return dom
+
+
+def _has_cycle(nodes, edges):
+    indegree = dict.fromkeys(nodes, 0)
+    for _, v in edges:
+        indegree[v] += 1
+    ready = [n for n, d in indegree.items() if d == 0]
+    removed = 0
+    while ready:
+        u = ready.pop()
+        removed += 1
+        for x, v in edges:
+            if x == u:
+                indegree[v] -= 1
+                if indegree[v] == 0:
+                    ready.append(v)
+    return removed < len(nodes)
+
+
+def _assert_back_edges_by_dominance(fn):
+    """Every edge whose target dominates its source is a back edge, and
+    the region is irreducible iff the other edges still form a cycle."""
+    dom = _dominators(fn)
+    edges = {(u, v) for u, targets in fn.succ.items() for v in targets}
+    back = {(u, v) for u, v in edges if v in dom[u]}
+    assert fn.back_edges == back
+    assert fn.irreducible == _has_cycle(fn.nodes, edges - back)
+
+
+@pytest.mark.parametrize("spec", KERNELS, ids=lambda s: s.name)
+def test_back_edges_equal_dominance_test_over_kernels(spec):
+    _, result = analyze_spec(spec)
+    for fn in result.functions.values():
+        _assert_back_edges_by_dominance(fn)
+
+
+def _function(src, extra=None):
+    program = AsmProgram.from_source(src + HALT, name="t")
+    fn = _build_function(program, build_cfg(program), 0, extra or {})
+    _assert_back_edges_by_dominance(fn)
+    return program, fn
+
+
+def test_back_edges_of_a_self_loop():
+    # the intraprocedural CFG has a self-edge only where a jump table
+    # sends a jr's slot to itself
+    _, fn = _function("""
+        jr $t0
+        nop
+        jr $ra
+        nop
+    """, extra={1: (1, 2)})
+    assert fn.back_edges == {(1, 1)}
+    assert fn.loops[1].body == {1} and not fn.irreducible
+
+
+def test_back_edges_of_nested_loops():
+    program, fn = _function("""
+        li $t0, 3
+    outer:
+        li $t1, 4
+    inner:
+        addiu $t1, $t1, -1
+        bne $t1, $zero, inner
+        nop
+        addiu $t0, $t0, -1
+        bne $t0, $zero, outer
+        nop
+        jr $ra
+        nop
+    """)
+    outer, inner = program.labels["outer"], program.labels["inner"]
+    assert {v for _, v in fn.back_edges} == {outer, inner}
+    assert fn.loops[inner].parent == outer
+    assert not fn.irreducible
+
+
+def test_back_edges_of_an_irreducible_region():
+    # the loop a -> b -> a is entered at both a and b: neither dominates
+    # the other, so its retreating edge is no back edge
+    _, fn = _function("""
+        beq $a0, $zero, b
+        nop
+    a:
+        addiu $t0, $t0, 1
+    b:
+        addiu $t1, $t1, 1
+        bne $t1, $a1, a
+        nop
+        jr $ra
+        nop
+    """)
+    assert fn.back_edges == frozenset() and fn.loops == {}
+    assert fn.irreducible

@@ -1,9 +1,12 @@
-"""Bit-at-a-time reference loops for the GF(2^m) arithmetic.
+"""Reference loops the fast paths must agree with.
 
 ``repro`` computes carry-less products with a width-4 comb, squares
 through the 8-bit table, and takes Billie's values from those.  The loops
 here are the definitions those fast paths must agree with: one multiplier
-bit, one squared bit, one digit-serial cycle at a time.
+bit, one squared bit, one digit-serial cycle at a time.  The I-cache
+study replays line runs in one loop; :class:`PerFetchICache` is the cache
+and stream buffer of the :mod:`repro.pete.icache` docstring, one fetch at
+a time.
 """
 
 from repro.fields.nist import BINARY_TAIL_EXPONENTS
@@ -65,3 +68,45 @@ def algorithm8_mul(a: int, b: int, m: int, digit: int) -> tuple[int, int]:
 def fig513_square(a: int, m: int) -> int:
     """Billie's hardwired squarer (paper Fig. 5.13): interleave, fold."""
     return _fold(interleave_sqr(a), m)
+
+
+class PerFetchICache:
+    """Direct-mapped I-cache plus single-entry stream buffer, one fetch at
+    a time, as the :mod:`repro.pete.icache` docstring states them."""
+
+    COUNTERS = ("icache_accesses", "icache_hits", "icache_misses",
+                "icache_fills", "prefetch_hits", "prefetch_fetches",
+                "rom_line_reads")
+
+    def __init__(self, size_bytes: int, prefetch: bool,
+                 line_bytes: int = 16, miss_penalty: int = 3) -> None:
+        self.line_bytes = line_bytes
+        self.prefetch = prefetch
+        self.miss_penalty = miss_penalty
+        self.tags = [None] * (size_bytes // line_bytes)
+        self.buffer = None
+        self.counts = dict.fromkeys(self.COUNTERS, 0)
+
+    def fetch(self, addr: int) -> int:
+        """One fetch; returns its stall cycles."""
+        count = self.counts
+        line = addr // self.line_bytes
+        index = line % len(self.tags)
+        count["icache_accesses"] += 1
+        if self.tags[index] == line:
+            count["icache_hits"] += 1
+            return 0
+        count["icache_misses"] += 1
+        count["icache_fills"] += 1
+        self.tags[index] = line
+        stall = 0
+        if self.prefetch and self.buffer == line:
+            count["prefetch_hits"] += 1
+        else:
+            stall = self.miss_penalty
+            count["rom_line_reads"] += 1
+        if self.prefetch:
+            self.buffer = line + 1
+            count["prefetch_fetches"] += 1
+            count["rom_line_reads"] += 1
+        return stall

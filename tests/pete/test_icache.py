@@ -1,9 +1,16 @@
 """Direct-mapped instruction cache + stream-buffer prefetch."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.model.icache_model import ecdsa_line_runs
 from repro.pete.icache import ICache, ICacheConfig
 from repro.pete.stats import CoreStats
+from tests.oracles import PerFetchICache
+
+#: The eight configurations of the Fig. 7.12 cache study.
+STUDY_CONFIGS = [(kb * 1024, prefetch) for kb in (1, 2, 4, 8)
+                 for prefetch in (False, True)]
 
 
 def make(size=1024, prefetch=False):
@@ -79,3 +86,84 @@ def test_fills_tracked():
     for addr in (0x0, 0x10, 0x20):
         cache.access(addr)
     assert stats.icache_fills == 3
+
+
+# ---------------------------------------------------------------------------
+# replay and access against the per-fetch reference
+# ---------------------------------------------------------------------------
+
+
+def _fetches(runs):
+    for first, count in runs:
+        yield from range(first, first + 4 * count, 4)
+
+
+def _assert_matches_reference(size, prefetch, runs):
+    """``ICache.replay`` over the runs and ``ICache.access`` per fetch
+    both equal the reference: stalls, every counter, tags and buffer."""
+    ref = PerFetchICache(size, prefetch)
+    stalls = sum(ref.fetch(addr) for addr in _fetches(runs))
+    config = ICacheConfig(size_bytes=size, prefetch=prefetch)
+    replayed, per_fetch = CoreStats(), CoreStats()
+    by_runs = ICache(config, replayed)
+    by_fetch = ICache(config, per_fetch)
+    assert by_runs.replay(runs) == stalls
+    assert sum(by_fetch.access(addr) for addr in _fetches(runs)) == stalls
+    expected = {**CoreStats().as_dict(), **ref.counts}
+    for stats, cache in ((replayed, by_runs), (per_fetch, by_fetch)):
+        assert stats.as_dict() == expected
+        assert cache.tags == ref.tags
+        assert cache._pf_tag == ref.buffer
+
+
+def _line_runs(draws):
+    """Runs from (jump line, sequential?, first word, count) draws: a
+    sequential run takes the line after the previous one, so the stream
+    buffer sees streams as well as conflicts."""
+    runs, line = [], 0
+    for jump, sequential, word, count in draws:
+        line = line + 1 if sequential else jump
+        runs.append((16 * line + 4 * word, min(count, 4 - word)))
+    return runs
+
+
+LINE_RUNS = st.lists(st.tuples(st.integers(0, 1023), st.booleans(),
+                               st.integers(0, 3), st.integers(1, 4)),
+                     max_size=200).map(_line_runs)
+
+
+@pytest.mark.parametrize("size,prefetch", STUDY_CONFIGS)
+@settings(max_examples=40, deadline=None)
+@given(runs=LINE_RUNS)
+def test_replay_and_access_equal_per_fetch_reference(size, prefetch, runs):
+    _assert_matches_reference(size, prefetch, runs)
+
+
+@pytest.mark.parametrize("size,prefetch", STUDY_CONFIGS)
+def test_ecdsa_trace_equals_per_fetch_reference(size, prefetch):
+    runs = list(ecdsa_line_runs(point_ops=6))
+    _assert_matches_reference(size, prefetch, runs)
+
+
+class _Recorder:
+    def __init__(self):
+        self.events = []
+
+    def emit(self, event):
+        self.events.append({name: getattr(event, name)
+                            for name in event.__slots__})
+
+
+@pytest.mark.parametrize("prefetch", [False, True])
+def test_replay_traces_each_fetch_as_access_does(prefetch):
+    runs = list(ecdsa_line_runs(point_ops=2))
+    config = ICacheConfig(size_bytes=1024, prefetch=prefetch)
+    by_runs, by_fetch = (ICache(config, CoreStats()) for _ in range(2))
+    by_runs.tracer, by_fetch.tracer = _Recorder(), _Recorder()
+    by_runs.replay(runs)
+    for addr in _fetches(runs):
+        by_fetch.access(addr)
+    assert by_runs.tracer.events == by_fetch.tracer.events
+    details = {event["detail"] for event in by_runs.tracer.events}
+    assert {"hit", "miss", "fill"} <= details
+    assert ("pf_hit" in details) == prefetch

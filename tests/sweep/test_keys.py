@@ -1,11 +1,14 @@
 """Cache keys: code digests, invalidation granularity, calibration."""
 
+import ast
 import dataclasses
+import textwrap
 
 import pytest
 
 from repro.energy.calibration import CALIBRATION
-from repro.harness.registry import get_spec
+from repro.harness.registry import ArtifactSpec, get_spec
+from repro.sweep import keys
 from repro.sweep.keys import CodeGraph, artifact_key, code_graph
 
 # ---------------------------------------------------------------------------
@@ -91,6 +94,119 @@ def test_digest_walks_each_closure_once_per_graph(pkg):
     assert graph(pkg).digest("pkg.tables") != first
 
 
+def test_graph_parses_only_what_a_closure_reaches(pkg):
+    g = graph(pkg)
+    parsed = []
+    imports_of = g._imports_of
+    g._imports_of = lambda name, source: (parsed.append(name)
+                                          or imports_of(name, source))
+    g.closure("pkg.figures")
+    assert sorted(parsed) == ["pkg", "pkg.analytic", "pkg.figures"]
+    g.closure("pkg.figures")
+    g.digest("pkg.figures")
+    g.closure("pkg.tables")          # pkg is parsed already
+    assert sorted(parsed) == ["pkg", "pkg.analytic", "pkg.costs",
+                              "pkg.figures", "pkg.kernels", "pkg.tables"]
+
+
+def test_graph_is_a_snapshot_of_construction_time(pkg):
+    reference = graph(pkg)
+    expected = {m: reference.digest(m) for m in reference.files}
+    g = graph(pkg)
+    # an edit after construction, to a module g has not parsed yet,
+    # that changes both its bytes and its imports
+    (pkg / "kernels.py").write_text("from pkg import analytic\n")
+    assert {m: g.digest(m) for m in g.files} == expected
+    assert "pkg.analytic" not in g.closure("pkg.tables")
+    fresh = graph(pkg)
+    assert "pkg.analytic" in fresh.closure("pkg.tables")
+    assert fresh.digest("pkg.tables") != expected["pkg.tables"]
+    assert fresh.digest("pkg.figures") == expected["pkg.figures"]
+
+
+def _walked_imports(tree):
+    return {id(node) for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))}
+
+
+def _statement_imports(tree):
+    found = [id(node) for node in keys._import_statements(tree)]
+    assert len(found) == len(set(found)), "an import visited twice"
+    return set(found)
+
+
+def test_statement_walk_finds_every_import_of_every_repro_module():
+    g = code_graph("repro")
+    total = 0
+    for name, path in g.files.items():
+        with open(path, "rb") as fh:
+            tree = ast.parse(fh.read())
+        walked = _walked_imports(tree)
+        assert _statement_imports(tree) == walked, name
+        total += len(walked)
+    assert total > 0
+
+
+_NESTED_IMPORTS = textwrap.dedent("""
+    import a
+    try:
+        import b
+    except ImportError:
+        import c
+    except (KeyError, ValueError) as exc:
+        from d import x
+    else:
+        from . import e
+    finally:
+        from .. import f
+    with open(p) as fh, lock:
+        import g
+    class K:
+        import h
+        def method(self):
+            import i
+            def inner():
+                from j import y
+            async def coro():
+                import k
+                async with ctx:
+                    import l
+                async for _ in it:
+                    import m
+                else:
+                    import n
+    for _ in range(3):
+        import o
+    else:
+        import p
+    while cond:
+        import q
+    else:
+        import r
+    if cond:
+        import s
+    elif other:
+        import t
+    else:
+        import u
+    match value:
+        case 1:
+            import v
+        case [w, *_] if w:
+            from z import w
+        case _:
+            import zz
+    x = [lambda: __import__("not_a_statement")]
+""")
+
+
+def test_statement_walk_finds_nested_imports():
+    tree = ast.parse(_NESTED_IMPORTS)
+    walked = _walked_imports(tree)
+    assert len(walked) == 24
+    assert _statement_imports(tree) == walked
+
+
 def test_unknown_module_raises(pkg):
     with pytest.raises(KeyError):
         graph(pkg).closure("pkg.nope")
@@ -113,6 +229,38 @@ def test_calibration_change_invalidates_every_key():
     tweaked = dataclasses.replace(CALIBRATION, ram_energy_scale=1.01)
     assert tweaked.fingerprint() != CALIBRATION.fingerprint()
     assert artifact_key(spec, calibration=tweaked) != artifact_key(spec)
+
+
+def test_key_memo_equals_a_fresh_derivation():
+    spec = get_spec("table", "7.5")
+    g = CodeGraph("repro")
+    first = artifact_key(spec, graph=g)
+    digests = []
+    digest = g.digest
+    g.digest = lambda module: digests.append(module) or digest(module)
+    assert artifact_key(spec, graph=g) == first
+    assert artifact_key(spec, calibration=CALIBRATION, graph=g) == first
+    assert digests == [], "a memo hit derives nothing"
+    assert artifact_key(spec, graph=CodeGraph("repro")) == first
+    tweaked = dataclasses.replace(CALIBRATION, ram_energy_scale=1.01)
+    other = artifact_key(spec, calibration=tweaked, graph=g)
+    assert other != first
+    assert other == artifact_key(spec, calibration=tweaked,
+                                 graph=CodeGraph("repro"))
+
+
+def test_key_memo_lives_on_its_graph(pkg):
+    # a fresh graph still sees an edit the memoized one predates
+    def producer():
+        return None
+
+    producer.__module__ = "pkg.tables"
+    spec = ArtifactSpec("table", "t", producer)
+    before = graph(pkg)
+    first = artifact_key(spec, graph=before)
+    (pkg / "tables.py").write_text("# touched\n")
+    assert artifact_key(spec, graph=before) == first
+    assert artifact_key(spec, graph=graph(pkg)) != first
 
 
 def test_real_graph_table_producers_reach_the_kernel_generators():
