@@ -6,7 +6,7 @@ install:
 	pip install -e .
 
 test:
-	pytest tests/ 2>&1 | tee test_output.txt
+	PYTHONPATH=src python -m pytest tests/
 
 # Static checks: ruff (when available) over the Python sources, mypy
 # (when available) over the analysis and sweep packages, then the
@@ -25,7 +25,7 @@ lint:
 	PYTHONPATH=src python -m repro.analysis --all
 
 bench:
-	pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
+	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only
 
 # Observability smoke: profiled Table 7.1 subset, per-symbol kernel
 # profile, Chrome trace, and the BENCH_smoke.json + BENCH_obs.json
@@ -45,7 +45,7 @@ diffexec:
 	PYTHONPATH=src python benchmarks/bench_lanes.py results/smoke
 
 artifacts:
-	python -m repro.harness.runall --out results --csv
+	PYTHONPATH=src python -m repro.harness.runall --out results --csv
 
 # Parallel, cached artifact regeneration: same output as `artifacts`,
 # fanned over a process pool with results memoized in results/cache/
@@ -67,13 +67,14 @@ serve:
 		--out results/serve --stats-json results/serve/serve_stats.json
 
 compare:
-	python -m repro.harness.compare
+	PYTHONPATH=src python -m repro.harness.compare
 
-# Cross-run regression gate: the working tree vs the committed baseline
-# snapshot, smoke subset (CI-sized).  The report and the gate's ledger
-# record land under results/.
+# Cross-run regression gate: the working tree vs the full committed
+# baseline snapshot (every quantity in BASELINE.json, a few seconds;
+# CI's regress job runs this target).  The report and the gate's
+# ledger record land under results/.
 regress:
-	PYTHONPATH=src python -m repro.regress gate --smoke \
+	PYTHONPATH=src python -m repro.regress gate \
 		--report results/regress/gate_report.txt
 	PYTHONPATH=src python -m repro.regress scorecard \
 		> results/regress/scorecard.txt
@@ -84,6 +85,6 @@ baseline:
 	PYTHONPATH=src python -m repro.regress baseline
 
 examples:
-	for f in examples/*.py; do echo "== $$f =="; python $$f || exit 1; done
+	for f in examples/*.py; do echo "== $$f =="; PYTHONPATH=src python $$f || exit 1; done
 
 all: install test bench artifacts compare

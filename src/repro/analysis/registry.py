@@ -28,17 +28,7 @@ from repro.analysis.lints import (
 )
 from repro.analysis.microcheck import check_microprogram
 from repro.analysis.taint import TaintSpec
-from repro.kernels import (
-    binary_kernels,
-    composed,
-    prime_kernels,
-    scalar_kernels,
-    symmetric_kernels,
-)
-
-#: Word count used for registry analysis: k = 6 covers P-192 and B-163,
-#: the paper's two curves.
-K = 6
+from repro.kernels import catalog
 
 _DS_SCHEDULE = Waiver(
     "delay-slot-clobber",
@@ -55,10 +45,13 @@ _SCALAR_SECRET = TaintSpec(secret_regs=("a1",))
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """One shipped Pete kernel under analysis."""
+    """What the analyses assume of one shipped Pete kernel.
+
+    How the kernel is built (source, entry, size, ISA switches) is its
+    :mod:`repro.kernels.catalog` entry of the same name.
+    """
 
     name: str
-    build: Callable[[], str]
     abi: AbiModel = KERNEL_ABI
     taint: TaintSpec | None = None
     waivers: tuple[Waiver, ...] = ()
@@ -68,22 +61,10 @@ class KernelSpec:
     #: passed to the abstract interpreter as ``assume_trips`` and
     #: surfaced in every verify report
     loop_bounds: tuple[tuple[str, int], ...] = ()
-    #: label the harness jumps to (defaults to the kernel name)
-    entry_label: str = ""
-    #: operand word count the verify harness measures at
-    measure_k: int = K
-    #: ISA extension switches the kernel requires (select the matching
-    #: :class:`repro.energy.simulated.RunEnergyParams` for bounds)
-    prime_ext: bool = False
-    binary_ext: bool = False
     #: taint spec for the *interprocedural* pass only -- for composed
     #: images whose flows cross calls, which the legacy intra pass
     #: cannot track; ``None`` falls back to ``taint``
     itaint: TaintSpec | None = None
-
-    @property
-    def entry(self) -> str:
-        return self.entry_label or self.name
 
     def taint_for_interp(self) -> TaintSpec | None:
         return self.itaint if self.itaint is not None else self.taint
@@ -98,26 +79,19 @@ class MicroSpec:
 
 
 KERNELS: tuple[KernelSpec, ...] = (
-    KernelSpec("mp_add", lambda: prime_kernels.gen_mp_add(K),
-               taint=_OPERANDS_SECRET),
-    KernelSpec("mp_sub", lambda: prime_kernels.gen_mp_sub(K),
-               taint=_OPERANDS_SECRET),
-    KernelSpec("os_mul", lambda: prime_kernels.gen_os_mul(K),
-               taint=_OPERANDS_SECRET),
-    KernelSpec("ps_mul_ext", lambda: prime_kernels.gen_ps_mul_ext(K),
-               taint=_OPERANDS_SECRET, waivers=(_DS_SCHEDULE,),
-               prime_ext=True),
-    KernelSpec("ps_sqr_ext",
-               lambda: prime_kernels.gen_ps_mul_ext(K, squaring=True),
-               taint=_OPERANDS_SECRET, waivers=(_DS_SCHEDULE,),
-               prime_ext=True,
+    KernelSpec("mp_add", taint=_OPERANDS_SECRET),
+    KernelSpec("mp_sub", taint=_OPERANDS_SECRET),
+    KernelSpec("os_mul", taint=_OPERANDS_SECRET),
+    KernelSpec("ps_mul_ext", taint=_OPERANDS_SECRET,
+               waivers=(_DS_SCHEDULE,)),
+    KernelSpec("ps_sqr_ext", taint=_OPERANDS_SECRET,
+               waivers=(_DS_SCHEDULE,),
                # the squaring convolution walks two pointers toward
                # each other; they converge only because both root at
                # the same arena, which value analysis cannot see
                loop_bounds=(("ps_sqr_ext_in_lo", 4),
                             ("ps_sqr_ext_in_hi", 4))),
-    KernelSpec("red_p192", prime_kernels.gen_red_p192,
-               taint=_OPERANDS_SECRET,
+    KernelSpec("red_p192", taint=_OPERANDS_SECRET,
                waivers=(Waiver(
                    "secret-dependent-branch",
                    "NIST fast reduction branches on the carry word and "
@@ -127,39 +101,30 @@ KERNELS: tuple[KernelSpec, ...] = (
                # the carry-fold terminates because each pass shrinks
                # the carry word: a mathematical argument, asserted here
                loop_bounds=(("red_p192_fold", 4),)),
-    KernelSpec("comb_mul", lambda: binary_kernels.gen_comb_mul(K),
-               taint=_OPERANDS_SECRET,
+    KernelSpec("comb_mul", taint=_OPERANDS_SECRET,
                waivers=(Waiver(
                    "secret-dependent-address",
                    "the comb method indexes its precomputed row table "
                    "by secret operand nibbles -- the classic "
                    "cache-timing trade-off of table-based binary-field "
                    "multiplication"),)),
-    KernelSpec("ps_mulgf2", lambda: binary_kernels.gen_ps_mulgf2(K),
-               taint=_OPERANDS_SECRET, waivers=(_DS_SCHEDULE,),
-               prime_ext=True, binary_ext=True),
-    KernelSpec("bsqr_table", lambda: binary_kernels.gen_bsqr_table(K),
-               taint=_OPERANDS_SECRET,
+    KernelSpec("ps_mulgf2", taint=_OPERANDS_SECRET,
+               waivers=(_DS_SCHEDULE,)),
+    KernelSpec("bsqr_table", taint=_OPERANDS_SECRET,
                waivers=(Waiver(
                    "secret-dependent-address",
                    "byte-wise squaring looks the squared byte up in a "
                    "256-entry table indexed by secret data"),)),
-    KernelSpec("bsqr_ext", lambda: binary_kernels.gen_bsqr_ext(K),
-               taint=_OPERANDS_SECRET, binary_ext=True),
-    KernelSpec("red_b163", binary_kernels.gen_red_b163,
-               taint=_OPERANDS_SECRET),
-    KernelSpec("speck64", symmetric_kernels.gen_speck64_encrypt,
-               taint=_OPERANDS_SECRET, entry_label="speck64_enc",
-               measure_k=1),
-    KernelSpec("scalar_daa", lambda: scalar_kernels.gen_scalar_daa(),
-               taint=_SCALAR_SECRET, measure_k=8,
+    KernelSpec("bsqr_ext", taint=_OPERANDS_SECRET),
+    KernelSpec("red_b163", taint=_OPERANDS_SECRET),
+    KernelSpec("speck64", taint=_OPERANDS_SECRET),
+    KernelSpec("scalar_daa", taint=_SCALAR_SECRET,
                waivers=(Waiver(
                    "secret-dependent-branch",
                    "double-and-add exists to demonstrate the leak the "
                    "Montgomery ladder removes; side_channel.py measures "
                    "the same asymmetry dynamically"),)),
-    KernelSpec("scalar_ladder", lambda: scalar_kernels.gen_scalar_ladder(),
-               taint=_SCALAR_SECRET, measure_k=8,
+    KernelSpec("scalar_ladder", taint=_SCALAR_SECRET,
                note="certified constant-time: no waivers, no findings"),
     # The composed images bundle kernel-ABI callees ($s* scratch), so
     # the kernel model applies to the whole program.  The legacy intra
@@ -167,16 +132,14 @@ KERNELS: tuple[KernelSpec, ...] = (
     # cannot distinguish a reloaded public pointer from secret data
     # once both were stored); the interprocedural pass tracks memory
     # taint per word and covers the whole call tree via ``itaint``.
-    KernelSpec("fmul_p192", composed.gen_fmul_p192,
-               itaint=_OPERANDS_SECRET,
+    KernelSpec("fmul_p192", itaint=_OPERANDS_SECRET,
                waivers=(Waiver(
                    "secret-dependent-branch",
                    "inherited from red_p192: the NIST reduction inside "
                    "the composed field multiply branches on carry and "
                    "borrow words derived from secret operands"),),
                loop_bounds=(("red_p192_fold", 4),)),
-    KernelSpec("fmul_b163", composed.gen_fmul_b163,
-               itaint=_OPERANDS_SECRET,
+    KernelSpec("fmul_b163", itaint=_OPERANDS_SECRET,
                waivers=(Waiver(
                    "secret-dependent-address",
                    "inherited from comb_mul: the comb method indexes "
@@ -223,7 +186,11 @@ def kernel_spec(name: str) -> KernelSpec:
 
 
 def analyze_kernel(spec: KernelSpec) -> AnalysisResult:
-    program = AsmProgram.from_source(spec.build(), name=spec.name)
+    """The lint suite over the kernel's bare source at its table size
+    (no halt stub: that would read as unreachable code)."""
+    kernel = catalog.KERNELS[spec.name]
+    program = AsmProgram.from_source(kernel.source(kernel.k),
+                                     name=spec.name)
     return analyze_program(program, abi=spec.abi, taint=spec.taint,
                            waivers=spec.waivers)
 

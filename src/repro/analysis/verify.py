@@ -40,19 +40,20 @@ from repro.analysis.lints import Finding, Waiver, apply_waivers
 from repro.analysis.registry import KERNELS, KernelSpec, report_kernel
 from repro.analysis.superblock import Superblock, coverage, static_blocks
 from repro.analysis.taint import taint_interp
-
-#: The stub the kernel harness appends: ``$ra`` points here at entry.
-HALT_STUB = "\n__halt:\n    halt\n"
+from repro.kernels import catalog
 
 
 def build_image(spec: KernelSpec
                 ) -> tuple[AsmProgram, int, dict[int, int], dict[int, int]]:
-    """The exact image the measurement harness runs, plus its analysis
-    inputs: ``(program, entry index, entry_values, assume_trips)``."""
-    program = AsmProgram.from_source(spec.build() + HALT_STUB,
-                                     name=spec.name)
-    entry = program.labels[spec.entry]
-    halt = program.labels["__halt"]
+    """The image the measurement harness loads (the kernel's
+    :func:`repro.kernels.catalog.image` at its table size), plus its
+    analysis inputs: ``(program, entry index, entry_values,
+    assume_trips)``."""
+    kernel = catalog.KERNELS[spec.name]
+    program = AsmProgram.from_assembled(catalog.image(kernel.name, kernel.k),
+                                        name=spec.name)
+    entry = program.labels[kernel.entry]
+    halt = program.labels[catalog.HALT]
     assume: dict[int, int] = {}
     for label, trips in spec.loop_bounds:
         if label in program.labels:
@@ -157,8 +158,9 @@ def verify_kernel(spec: KernelSpec, runner: KernelRunner | None = None,
                   observe: bool = True) -> VerifyReport:
     """Run every static pass over one kernel and (unless ``observe``
     is off) assert the bounds against an actual harness run."""
+    kernel = catalog.KERNELS[spec.name]
     program, result = analyze_spec(spec)
-    report = VerifyReport(spec.name, spec.measure_k)
+    report = VerifyReport(spec.name, kernel.k)
     report.assumed_loops = sorted(set(result.assumed_loops))
     report.dead_branches = len(result.dead_branches)
     report.calls_resolved = len(result.calls)
@@ -186,7 +188,7 @@ def verify_kernel(spec: KernelSpec, runner: KernelRunner | None = None,
 
         if runner is None:
             runner = KernelRunner(cache={})
-        cpu, entry_pc = runner.prepare(spec.name, spec.measure_k)
+        cpu, entry_pc = runner.prepare(spec.name, kernel.k)
         cpu.run(entry_pc)
         s = cpu.stats
         report.observed = {
@@ -195,8 +197,8 @@ def verify_kernel(spec: KernelSpec, runner: KernelRunner | None = None,
             "ram_reads": s.ram_reads, "ram_writes": s.ram_writes,
         }
         params = RunEnergyParams(cal=runner.cal,
-                                 prime_isa_ext=spec.prime_ext,
-                                 binary_isa_ext=spec.binary_ext)
+                                 prime_isa_ext=kernel.prime_ext,
+                                 binary_isa_ext=kernel.binary_ext)
         report.observed_energy_nj = report_from_corestats(
             s, params, label=spec.name).total_nj
         if br.total is not None:

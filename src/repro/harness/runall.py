@@ -80,20 +80,22 @@ def _run_profile(spec: str) -> None:
 
 
 def _kernel_profile(spec: str):
+    from repro.kernels import catalog
     from repro.kernels.runner import KernelRunner
     from repro.trace.bus import CollectingSink
     from repro.trace.metrics import PowerSampler
 
     name, k = _parse_spec(spec, DEFAULT_TRACE_KERNEL, 2,
                           "--profile-kernel/--trace-kernel")
+    try:
+        size = int(k)
+        catalog.lookup(name, size)
+    except (KeyError, ValueError) as exc:
+        raise SystemExit(f"runall: {exc.args[0]}")
     events = CollectingSink()
     power = PowerSampler(interval_cycles=64)
-    runner = KernelRunner()
-    try:
-        profiler, cpu = runner.profile(name, int(k),
-                                       extra_sinks=(events, power))
-    except KeyError as exc:
-        raise SystemExit(f"runall: {exc.args[0]}")
+    profiler, cpu = KernelRunner().profile(name, size,
+                                           extra_sinks=(events, power))
     return profiler, cpu, events, power
 
 

@@ -176,6 +176,7 @@ def table_bounds() -> list[dict]:
     from repro.analysis.registry import KERNELS, report_kernel
     from repro.analysis.superblock import coverage, static_blocks
     from repro.analysis.verify import analyze_spec
+    from repro.kernels import catalog
 
     rows = []
     for spec in KERNELS:
@@ -185,7 +186,7 @@ def table_bounds() -> list[dict]:
         certified = br.certified
         total = br.total
         rows.append({
-            "kernel": spec.name, "k": spec.measure_k,
+            "kernel": spec.name, "k": catalog.KERNELS[spec.name].k,
             "certified": int(certified),
             "bound_cycles": total.cycles if certified else -1,
             "bound_instrs": total.instructions if certified else -1,

@@ -7,7 +7,10 @@ timing simulator, and validate every result bit-for-bit against
 :mod:`repro.mp`.  The measured per-kernel cycle counts (and ROM/RAM
 activity) feed the whole-operation model in :mod:`repro.model`.
 
-Kernels (all parameterized by the word count k):
+Kernels, each declared once in :mod:`repro.kernels.catalog` (``k`` is
+the word count, the scalar's bit width for the scalar loops; the
+reductions, the composed field multiplies and ``speck64`` have one
+fixed size):
 
 ========================  =====================================  ==========
 kernel                    implements                             ISA needs
@@ -22,6 +25,11 @@ kernel                    implements                             ISA needs
 ``ps_mulgf2``             carry-less product scanning            MADDGF2
 ``bsqr_ext``              squaring via MULGF2                    MULGF2
 ``red_b163``              binary fast reduction (Algorithm 7)    base
+``fmul_p192``             ``os_mul`` then ``red_p192``, linked   base
+``fmul_b163``             ``comb_mul`` then ``red_b163``, linked base
+``speck64``               one Speck64/128 block                  base
+``scalar_daa``            double-and-add scalar loop             base
+``scalar_ladder``         Montgomery-ladder scalar loop          base
 ========================  =====================================  ==========
 """
 

@@ -1,6 +1,13 @@
-"""Small assembly-emission helper used by the kernel generators."""
+"""Small assembly-emission helper used by the kernel generators, and
+the RAM layout their harnesses share."""
 
 from __future__ import annotations
+
+# RAM layout for kernel harnesses (RAM_BASE-relative byte offsets).
+DST_OFF = 0x400   # result area (also reduction scratch at +256)
+A_OFF = 0x800
+B_OFF = 0x900
+TABLE_OFF = 0xA00  # comb table (<= 2 KB) or squaring table (512 B)
 
 
 class Asm:

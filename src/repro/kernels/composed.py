@@ -5,19 +5,15 @@ call overhead).  These programs compose them *in assembly* -- a real
 ``fmul`` function that calls the multiplication kernel and then the
 reduction kernel through the standard jal/jr convention, with operands
 marshalled through registers the way compiled code does -- so the
-analytic composition can be validated against a measured one.
+analytic composition can be validated against a measured one.  They are
+the ``fmul_p192`` and ``fmul_b163`` entries of
+:mod:`repro.kernels.catalog`, built and run like every other kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.kernels import binary_kernels, prime_kernels
-from repro.kernels.codegen import Asm
-from repro.kernels.runner import A_OFF, B_OFF, DST_OFF, TABLE_OFF
-from repro.mp.words import from_int, to_int
-from repro.pete.assembler import assemble
-from repro.pete.cpu import Pete
+from repro.kernels.codegen import TABLE_OFF, Asm
 from repro.pete.memory import RAM_BASE
 
 #: RAM offset of the 2k-word unreduced product.
@@ -69,42 +65,3 @@ def gen_fmul_b163() -> str:
     src = asm.source()
     return (src + binary_kernels.gen_comb_mul(6)
             + binary_kernels.gen_red_b163())
-
-
-@dataclass(frozen=True)
-class ComposedResult:
-    value: int
-    cycles: int
-    instructions: int
-
-
-def run_fmul_p192(a: int, b: int) -> ComposedResult:
-    """Execute the composed P-192 field multiplication on Pete."""
-    program = assemble(gen_fmul_p192() + "\n__halt:\n    halt\n")
-    cpu = Pete()
-    cpu.load(program)
-    cpu.set_reg("ra", program.address_of("__halt"))
-    cpu.set_reg("a0", RAM_BASE + DST_OFF)
-    cpu.set_reg("a1", RAM_BASE + A_OFF)
-    cpu.set_reg("a2", RAM_BASE + B_OFF)
-    cpu.mem.write_ram_words(RAM_BASE + A_OFF, from_int(a, 6))
-    cpu.mem.write_ram_words(RAM_BASE + B_OFF, from_int(b, 6))
-    stats = cpu.run(program.address_of("fmul_p192"))
-    value = to_int(cpu.mem.read_ram_words(RAM_BASE + DST_OFF, 6))
-    return ComposedResult(value, stats.cycles, stats.instructions)
-
-
-def run_fmul_b163(a: int, b: int) -> ComposedResult:
-    """Execute the composed B-163 field multiplication on Pete."""
-    program = assemble(gen_fmul_b163() + "\n__halt:\n    halt\n")
-    cpu = Pete()
-    cpu.load(program)
-    cpu.set_reg("ra", program.address_of("__halt"))
-    cpu.set_reg("a0", RAM_BASE + DST_OFF)
-    cpu.set_reg("a1", RAM_BASE + A_OFF)
-    cpu.set_reg("a2", RAM_BASE + B_OFF)
-    cpu.mem.write_ram_words(RAM_BASE + A_OFF, from_int(a, 6))
-    cpu.mem.write_ram_words(RAM_BASE + B_OFF, from_int(b, 6))
-    stats = cpu.run(program.address_of("fmul_b163"))
-    value = to_int(cpu.mem.read_ram_words(RAM_BASE + DST_OFF, 6))
-    return ComposedResult(value, stats.cycles, stats.instructions)

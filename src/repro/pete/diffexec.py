@@ -332,6 +332,7 @@ def main(argv: list[str] | None = None) -> int:
                              "sizes (default: 1 4 64)")
     args = parser.parse_args(argv)
 
+    from repro.kernels import catalog
     from repro.pete.lanes import HAVE_NUMPY
 
     if not HAVE_NUMPY:
@@ -344,13 +345,13 @@ def main(argv: list[str] | None = None) -> int:
             raise SystemExit(f"diffexec: bad kernel spec {token!r} "
                              f"(expected NAME:K, like os_mul:8)")
         try:
-            batch = [
-                diff_kernel_lanes(name, int(k), lanes,
-                                  max_cycles=args.max_cycles)
-                for lanes in args.lanes
-            ]
-        except KeyError as exc:
+            size = int(k)
+            catalog.lookup(name, size)
+        except (KeyError, ValueError) as exc:
             raise SystemExit(f"diffexec: {exc.args[0]}")
+        batch = [diff_kernel_lanes(name, size, lanes,
+                                   max_cycles=args.max_cycles)
+                 for lanes in args.lanes]
         for report in batch:
             reports.append(report)
             print(report.summary())

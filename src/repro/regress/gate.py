@@ -102,6 +102,7 @@ def measure_quantities(smoke: bool = False, runner=None, model=None
     from repro.analysis.bounds import compute_bound
     from repro.analysis.registry import KERNELS as ANALYSIS_KERNELS
     from repro.analysis.verify import analyze_spec
+    from repro.kernels import catalog
 
     for spec in ANALYSIS_KERNELS:
         if smoke and spec.name not in SMOKE_ANALYSIS:
@@ -112,7 +113,8 @@ def measure_quantities(smoke: bool = False, runner=None, model=None
             bound = float(br.total.cycles) if br.certified else None
         except Exception:
             bound = None
-        out[f"analysis/{spec.name}:{spec.measure_k}/bound_cycles"] = bound
+        k = catalog.KERNELS[spec.name].k
+        out[f"analysis/{spec.name}:{k}/bound_cycles"] = bound
     for curve, config in (SMOKE_MODEL if smoke else full_model_rows()):
         base = f"model/{curve}:{config}"
         try:

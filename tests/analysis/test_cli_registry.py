@@ -1,5 +1,6 @@
 """The registry covers every shipped program and the CLI gates on it."""
 
+import dataclasses
 import json
 
 from repro.analysis.__main__ import main
@@ -80,9 +81,8 @@ def test_cli_single_program(capsys):
 
 def test_cli_nonzero_on_findings(capsys, monkeypatch):
     """Drop a waiver: the CLI must fail."""
-    spec = registry.kernel_spec("scalar_daa")
-    stripped = registry.KernelSpec(spec.name, spec.build, spec.abi,
-                                   spec.taint, waivers=())
+    stripped = dataclasses.replace(registry.kernel_spec("scalar_daa"),
+                                   waivers=())
     monkeypatch.setattr(registry, "KERNELS", (stripped,))
     monkeypatch.setattr(registry, "MICROPROGRAMS", ())
     assert main(["--all"]) == 1

@@ -87,8 +87,9 @@ def test_runall_shims_are_gone():
 
 
 def test_fast_knob_is_gone():
-    """Every run is block-threaded, so the removed ``fast=`` keyword
-    must fail loudly instead of being silently ignored."""
+    """Every run steps the reference interpreter, so the removed
+    ``fast=`` keyword must fail loudly instead of being silently
+    ignored."""
     from repro.kernels.runner import KernelRunner
     from repro.serve.service import ServeConfig
     from repro.sweep.engine import SweepEngine

@@ -13,10 +13,10 @@ from repro.accel.ffau import FFAU
 from repro.accel.microcode import CoreOp, build_cios_program
 from repro.ec.curves import get_curve
 from repro.fields.nist import NIST_PRIMES
-from repro.kernels.runner import A_OFF, B_OFF, DST_OFF
+from repro.kernels import catalog
+from repro.kernels.codegen import A_OFF, B_OFF, DST_OFF
 from repro.mp.montgomery import MontgomeryContext
 from repro.mp.words import from_int, to_int
-from repro.pete.assembler import assemble
 from repro.pete.cpu import Pete
 from repro.pete.memory import RAM_BASE
 
@@ -24,10 +24,7 @@ from repro.pete.memory import RAM_BASE
 def test_corrupted_kernel_instruction_detected(rng):
     """Flip one instruction in the os_mul image: the product changes and
     the runner-style comparison catches it."""
-    from repro.kernels.prime_kernels import gen_os_mul
-
-    source = gen_os_mul(6) + "\n__halt:\n    halt\n"
-    program = assemble(source)
+    program = catalog.image("os_mul", 6)
     a = rng.getrandbits(192)
     b = rng.getrandbits(192)
 
