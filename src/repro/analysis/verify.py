@@ -157,7 +157,9 @@ def _bound_violations(name: str, bound: Cost, observed: dict,
 def verify_kernel(spec: KernelSpec, runner: KernelRunner | None = None,
                   observe: bool = True) -> VerifyReport:
     """Run every static pass over one kernel and (unless ``observe``
-    is off) assert the bounds against an actual harness run."""
+    is off) assert the bounds against an actual harness run, which
+    raises :class:`~repro.kernels.catalog.KernelMismatch` if the kernel
+    computed a wrong result."""
     kernel = catalog.KERNELS[spec.name]
     program, result = analyze_spec(spec)
     report = VerifyReport(spec.name, kernel.k)
@@ -188,9 +190,7 @@ def verify_kernel(spec: KernelSpec, runner: KernelRunner | None = None,
 
         if runner is None:
             runner = KernelRunner(cache={})
-        cpu, entry_pc = runner.prepare(spec.name, kernel.k)
-        cpu.run(entry_pc)
-        s = cpu.stats
+        s = runner.simulate(spec.name, kernel.k).stats
         report.observed = {
             "cycles": s.cycles, "instructions": s.instructions,
             "rom_word_reads": s.rom_word_reads,

@@ -46,7 +46,8 @@ _RNG = random.Random(0xECC)
 
 
 class KernelMismatch(AssertionError):
-    """A kernel's result differs from its reference."""
+    """A simulated kernel's (or Billie run's) result differs from its
+    reference."""
 
 
 @dataclass(frozen=True)

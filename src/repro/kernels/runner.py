@@ -98,19 +98,21 @@ class KernelRunner:
         """Run one kernel with tracing on; returns ``(profiler, cpu)``.
 
         ``params`` is a :class:`repro.energy.simulated.RunEnergyParams`
-        (defaults match the plain software configuration the kernels run
-        in).  ``extra_sinks`` (e.g. a :class:`CollectingSink` or a
-        :class:`PowerSampler`) see the same event stream.
+        (by default, the runner's calibration and the ISA switches the
+        kernel's core is built with).  ``extra_sinks`` (e.g. a
+        :class:`CollectingSink` or a :class:`PowerSampler`) see the same
+        event stream.
         """
         from repro.trace.bus import TraceBus
         from repro.trace.profiler import Profiler, Symbolizer
 
         if params is None:
-            from repro.energy.calibration import CALIBRATION
             from repro.energy.simulated import RunEnergyParams
 
-            if self.cal is not CALIBRATION:
-                params = RunEnergyParams(cal=self.cal)
+            kernel = catalog.lookup(name, k)
+            params = RunEnergyParams(cal=self.cal,
+                                     prime_isa_ext=kernel.prime_ext,
+                                     binary_isa_ext=kernel.binary_ext)
         bus = TraceBus()
         profiler = Profiler(params=params)
         bus.attach(profiler)
@@ -120,7 +122,7 @@ class KernelRunner:
         for sink in bus.sinks:
             if getattr(sink, "symbols", "absent") is None:
                 sink.symbols = symbols
-        return profiler, self._simulate(name, k, tracer=bus)
+        return profiler, self.simulate(name, k, tracer=bus)
 
     def prepare(self, name: str, k: int) -> tuple[Pete, int]:
         """A fully-loaded, ready-to-run cpu for ``(kernel, k)``.
@@ -171,15 +173,20 @@ class KernelRunner:
         operands.load(cpu)
         return cpu, program.address_of(kernel.entry), operands
 
-    def _simulate(self, name: str, k: int, tracer=None) -> Pete:
-        """Build, run and check one instance; returns the finished cpu."""
+    def simulate(self, name: str, k: int, tracer=None) -> Pete:
+        """Build, run and check one instance; returns the finished cpu.
+
+        The path :meth:`measure` and :meth:`profile` run: one operand
+        draw, and :class:`~repro.kernels.catalog.KernelMismatch` unless
+        the result equals the reference.
+        """
         cpu, entry, operands = self._build(name, k, tracer)
         cpu.run(entry)
         operands.check(cpu, f"{name} at k={k}")
         return cpu
 
     def _run_once(self, name: str, k: int) -> KernelResult:
-        s = self._simulate(name, k).stats
+        s = self.simulate(name, k).stats
         return KernelResult(name, k, s.cycles, s.instructions,
                             s.ram_reads, s.ram_writes)
 

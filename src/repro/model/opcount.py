@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.ec.curves import get_curve
+from repro.ec.point import AffinePoint
 from repro.ecdsa.core import sign_digest, verify_digest
 from repro.ecdsa import generate_keypair
 from repro.model.units import unit
@@ -48,6 +49,13 @@ class EcdsaOpCounts:
     verify: OpCounts
 
 
+@lru_cache(maxsize=None)
+def keypair(curve_name: str) -> tuple[int, AffinePoint]:
+    """The fixed key pair every model measurement of ``curve_name``
+    uses: one software scalar multiplication per curve per process."""
+    return generate_keypair(get_curve(curve_name), seed=b"opcount")
+
+
 @unit
 def ecdsa_opcounts(curve_name: str) -> EcdsaOpCounts:
     """Measure sign/verify operation counts on the given curve.
@@ -57,7 +65,7 @@ def ecdsa_opcounts(curve_name: str) -> EcdsaOpCounts:
     scalars, which is below the model's resolution.
     """
     curve = get_curve(curve_name)
-    d, public = generate_keypair(curve, seed=b"opcount")
+    d, public = keypair(curve_name)
     digest = hashlib.sha256(b"opcount workload " + curve_name.encode()).digest()
 
     curve.reset_counters()
@@ -90,8 +98,7 @@ def scalar_mult_point_ops(curve_name: str) -> dict[str, int]:
     (doubles/adds), used by the Billie driver and Fig. 7.14."""
     from repro.ec.scalar import fractional_naf
 
-    curve = get_curve(curve_name)
-    d, _ = generate_keypair(curve, seed=b"opcount")
+    d, _ = keypair(curve_name)
     digits = fractional_naf(d)
     doubles = len(digits) - 1
     adds = sum(1 for digit in digits if digit)

@@ -18,16 +18,16 @@ from functools import lru_cache
 from repro.accel.billie import Billie, BillieConfig
 from repro.accel.monte import Monte
 from repro.ec.curves import get_curve
-from repro.ecdsa import generate_keypair
 from repro.energy.accounting import EnergyBreakdown, EnergyReport
 from repro.energy.calibration import CALIBRATION, Calibration
 from repro.energy.components import FFAUPower
 from repro.energy.technology import SYSTEM_CLOCK_NS
 from repro.fields.inversion import fermat_prime_opcounts
+from repro.kernels.catalog import KernelMismatch
 from repro.model.configs import MicroarchConfig, get_config
 from repro.model.costs import OpCost, software_costs
 from repro.model.icache_model import cache_study
-from repro.model.opcount import ecdsa_opcounts
+from repro.model.opcount import ecdsa_opcounts, keypair
 from repro.model.units import unit
 
 #: Fixed per-primitive software cycles outside the big-number math:
@@ -480,10 +480,13 @@ def _billie_primitive_run(curve_name: str, primitive: str) -> dict:
     from repro.model.billie_driver import run_sliding_window, run_twin
 
     curve = get_curve(curve_name)
-    d, public = generate_keypair(curve, seed=b"opcount")
+    d, public = keypair(curve_name)
     billie = Billie(BillieConfig(m=curve.bits))
     if primitive == "sign":
         run = run_sliding_window(curve, d, curve.generator, billie)
+        if run.result != public:
+            raise KernelMismatch(f"Billie sign on {curve_name}: d*G "
+                                 f"differs from the reference")
     else:
         # verification-shaped twin multiplication
         u1 = d | 1

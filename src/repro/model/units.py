@@ -15,7 +15,8 @@ entries as plain, picklable values; :func:`seed` writes them into
 another process's memos through :data:`MEMOS` (a tracer may rebind the
 module attributes).  Producers declare the units they read with
 :func:`reads`; a pooled sweep (:mod:`repro.sweep.engine`) computes each
-unit once and renders the readers in the parent.
+unit once and renders each reader in the parent as soon as its units
+have landed.
 
 Units do not depend on the calibration: they hold cycles, counts and
 cache statistics, and the calibration enters only in
@@ -139,8 +140,9 @@ def held(name: str) -> bool:
 
 
 def plan(names) -> list[str]:
-    """The units among ``names`` this process does not hold, sorted."""
-    return sorted(n for n in set(names) if not held(n))
+    """The units among ``names`` this process does not hold, each once,
+    in the order ``names`` first gives it."""
+    return [n for n in dict.fromkeys(names) if not held(n)]
 
 
 def compute(name: str) -> list[tuple[str, tuple, object]]:

@@ -18,8 +18,9 @@ in any of them invalidates all 26 artifacts.
 
 A pooled run's tasks are the artifacts that read no shared-model unit
 and the units the others read (:mod:`repro.model.units`); the parent
-seeds each unit and renders its readers inline.  Simulated kernels run
-on the reference interpreter (:meth:`repro.pete.cpu.Pete.run`).
+seeds each unit as it lands and renders each reader inline as soon as
+its units have.  Simulated kernels run on the reference interpreter
+(:meth:`repro.pete.cpu.Pete.run`).
 CLI: ``python -m repro.sweep`` (cached, parallel ``runall``); library:
 :func:`repro.api.sweep`, and :func:`repro.api.compute_artifact` with
 ``cache``/``cache_dir``/``jobs`` (a one-spec engine run).

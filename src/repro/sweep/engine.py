@@ -9,11 +9,13 @@ memoizing each task's payload in a
 the whole sweep without running a single Pete/Monte/Billie simulation.
 
 Unit phase: with ``jobs > 1``, the pool's tasks are the artifacts that
-read no shared-model unit (:mod:`repro.model.units`) and every unit the
-others declare that this process does not hold yet, each computed once.
-The parent seeds the units into its memos and renders their readers
-inline.  Unit tasks write no cache entry, ledger record or task count;
-a unit that keeps failing fails its readers.
+read no shared-model unit (:mod:`repro.model.units`), then every unit
+the others declare that this process does not hold yet, each computed
+once, in the order the specs first declare it.  The parent seeds each
+unit into its memos as it lands and renders a reader inline as soon as
+its last unit has landed, between pool turns.  Unit tasks write no
+cache entry, ledger record or task count; a unit that keeps failing
+fails its readers at once.
 
 Robustness: every task gets a bounded number of retries and graceful
 degradation -- a task that keeps failing is reported and *skipped*,
@@ -26,12 +28,11 @@ parent -- an inline run, and a pooled run's unit readers -- has no
 timeout; a reader that reads a unit it does not declare computes it
 there (``SweepResult.units_inline``).  Cache entries and ledger
 records are written as each task completes, so an interrupted cold
-sweep still warms the cache for its rerun (in a pooled run, only with
-the artifacts that read no unit: the others land after the unit
-phase).  Each task emits one ``sweep`` record (status, attempts,
-wall-clock, cycles, energy) into the :mod:`repro.regress` ledger, so
-``python -m repro.regress diff`` can compare serial vs parallel or
-cold vs warm runs shard-against-shard.
+sweep still warms the cache for its rerun (in a pooled run, a reader's
+entry lands as soon as its units have).  Each task emits one ``sweep``
+record (status, attempts, wall-clock, cycles, energy) into the
+:mod:`repro.regress` ledger, so ``python -m repro.regress diff`` can
+compare serial vs parallel or cold vs warm runs shard-against-shard.
 """
 
 from __future__ import annotations
@@ -336,64 +337,86 @@ class SweepEngine:
     def _run_inline(self, pending, outcomes, keys) -> None:
         settle = self._settler(outcomes, keys, emit_span=True)
         for spec in pending:
-            start = time.perf_counter()
-            error = None
-            for attempt in range(1, self.retries + 2):
-                try:
-                    payload = self.compute(spec.kind, spec.name)
-                except Exception as exc:
-                    error = f"{type(exc).__name__}: {exc}"
-                    continue
-                outcome = TaskOutcome(
-                    spec.kind, spec.name, "computed",
-                    wall_s=time.perf_counter() - start,
-                    attempts=attempt, payload=payload)
-                break
-            else:
-                outcome = TaskOutcome(
-                    spec.kind, spec.name, "failed",
-                    wall_s=time.perf_counter() - start,
-                    attempts=self.retries + 1, error=error)
-            settle(spec, outcome)
+            settle(spec, self._compute_inline(spec))
+
+    def _compute_inline(self, spec) -> TaskOutcome:
+        """Compute ``spec`` in this process, retrying, with no timeout."""
+        start = time.perf_counter()
+        error = None
+        for attempt in range(1, self.retries + 2):
+            try:
+                payload = self.compute(spec.kind, spec.name)
+            except Exception as exc:
+                error = f"{type(exc).__name__}: {exc}"
+                continue
+            return TaskOutcome(spec.kind, spec.name, "computed",
+                               wall_s=time.perf_counter() - start,
+                               attempts=attempt, payload=payload)
+        return TaskOutcome(spec.kind, spec.name, "failed",
+                           wall_s=time.perf_counter() - start,
+                           attempts=self.retries + 1, error=error)
 
     def _run_units(self, pending, outcomes, keys) -> tuple[int, int]:
-        """Pool the unit-free artifacts, then the units the rest read;
-        seed the units here and render their readers inline, without a
-        timeout.  A reader of a failed unit fails unrendered: rendering
-        would recompute the unit here, where nothing can time it out.
-        Returns ``(units computed, unit memo misses while rendering)``."""
+        """Pool the unit-free artifacts, then each unit the rest read
+        that this process lacks, in the order the specs first declare
+        it.  Each unit is seeded here as it lands, and each reader is
+        rendered here, without a timeout, as soon as its last unit has
+        landed.  A reader fails unrendered as soon as one of its units
+        fails: rendering would recompute the unit here, where nothing
+        can time it out.  Returns ``(units computed, unit memo misses
+        while rendering)``."""
         from repro.model import units
 
-        plan = units.plan({name for spec in pending for name in spec.units})
+        readers = [spec for spec in pending if spec.units]
+        plan = units.plan(name for spec in readers for name in spec.units)
         settle = self._settler(outcomes, keys)
-        unit_errors: dict[str, str] = {}
+        settle_here = self._settler(outcomes, keys, emit_span=True)
+        ready: deque = deque()
+        lacking: dict[tuple[str, str], set[str]] = {}
+        computed = inline = 0
+
+        def render(spec) -> None:
+            nonlocal inline
+            misses = units.misses()
+            settle_here(spec, self._compute_inline(spec))
+            inline += units.misses() - misses
+
+        for spec in readers:
+            lacks = set(spec.units).intersection(plan)
+            if lacks:
+                lacking[spec.key] = lacks
+            else:
+                ready.append(functools.partial(render, spec))
 
         def settled(task, outcome: TaskOutcome) -> None:
+            """Settle an artifact; or seed a unit and queue each reader
+            it completes, or fail each reader of a unit that failed."""
+            nonlocal computed
             if task.kind != "unit":
                 settle(task, outcome)
-            elif outcome.ok:
+                return
+            if outcome.ok:
                 units.seed(outcome.payload)
-            else:
-                unit_errors[task.name] = outcome.error
+                computed += 1
+            for spec in readers:
+                lacks = lacking.get(spec.key)
+                if lacks is None or task.name not in lacks:
+                    continue
+                lacks.discard(task.name)
+                if not outcome.ok:
+                    del lacking[spec.key]
+                    settle_here(spec, TaskOutcome(
+                        spec.kind, spec.name, "failed",
+                        error=f"unit {task.name}: {outcome.error}"))
+                elif not lacks:
+                    del lacking[spec.key]
+                    ready.append(functools.partial(render, spec))
 
         self._run_pool([spec for spec in pending if not spec.units]
-                       + [_UnitTask(name) for name in plan], settled)
+                       + [_UnitTask(name) for name in plan], settled, ready)
+        return computed, inline
 
-        readers = []
-        settle_failed = self._settler(outcomes, keys, emit_span=True)
-        for spec in pending:
-            failed = [name for name in spec.units if name in unit_errors]
-            if failed:
-                settle_failed(spec, TaskOutcome(
-                    spec.kind, spec.name, "failed",
-                    error=f"unit {failed[0]}: {unit_errors[failed[0]]}"))
-            elif spec.units:
-                readers.append(spec)
-        misses = units.misses()
-        self._run_inline(readers, outcomes, keys)
-        return len(plan) - len(unit_errors), units.misses() - misses
-
-    def _run_pool(self, pending, settled) -> None:
+    def _run_pool(self, pending, settled, ready: deque) -> None:
         """One dedicated worker process per task attempt.
 
         At most ``self.jobs`` workers run at once.  Each worker reports
@@ -401,7 +424,10 @@ class SweepEngine:
         and a worker that outlives it is killed -- the slot frees up
         for the queued/retried tasks instead of the sweep blocking on a
         hung simulation.  ``settled(task, outcome)`` receives each
-        task's final outcome.
+        task's final outcome.  ``ready`` is a deque of work for this
+        process, which ``settled`` may extend: once every free slot is
+        refilled, each pool turn runs one item, and the pipes are
+        polled without waiting while more items are ready.
         """
         ctx = multiprocessing.get_context(self.mp_context)
         tel = obs.get()
@@ -425,7 +451,7 @@ class SweepEngine:
                 settle(spec, attempt, "failed", error=error)
 
         try:
-            while queue or running:
+            while queue or running or ready:
                 while queue and len(running) < self.jobs:
                     spec, attempt = queue.popleft()
                     recv, send = ctx.Pipe(duplex=False)
@@ -448,9 +474,14 @@ class SweepEngine:
                     running[recv] = (proc, spec, attempt,
                                      time.perf_counter(), task_span)
 
-                now = time.perf_counter()
-                budget = min(t0 + self.timeout_s
-                             for _, _, _, t0, _ in running.values()) - now
+                if ready:
+                    ready.popleft()()
+                if not running:
+                    continue
+                budget = 0.0 if ready else min(
+                    t0 + self.timeout_s
+                    for _, _, _, t0, _ in running.values()
+                ) - time.perf_counter()
                 for conn in _connection_wait(list(running),
                                              timeout=max(0.0, budget)):
                     proc, spec, attempt, _, task_span = running.pop(conn)

@@ -94,6 +94,33 @@ def test_a_wrong_result_raises_and_is_not_cached(monkeypatch):
     assert cache == {}
 
 
+def test_the_verifier_checks_the_result_it_observes(monkeypatch):
+    """``verify`` compares its bounds against a run that computed the
+    right result, not just any run."""
+    kernel = catalog.KERNELS["mp_add"]
+
+    def wrong(k):
+        return dataclasses.replace(kernel.operands(k), ok=lambda cpu: False)
+
+    monkeypatch.setitem(catalog.KERNELS, "mp_add",
+                        dataclasses.replace(kernel, operands=wrong))
+    (spec,) = [s for s in registry.KERNELS if s.name == "mp_add"]
+    with pytest.raises(catalog.KernelMismatch, match="mp_add at k=6"):
+        verify_kernel(spec, runner=_runner())
+
+
+@pytest.mark.parametrize("name", ["ps_mul_ext", "ps_mulgf2", "bsqr_ext",
+                                  "os_mul"])
+def test_a_profile_prices_the_kernels_own_switches(name):
+    """A default profile prices the core with the ISA switches it is
+    built with, as the verifier's observed energy does."""
+    (spec,) = [s for s in registry.KERNELS if s.name == name]
+    profiler, _ = _runner().profile(name, catalog.KERNELS[name].k)
+    report = verify_kernel(spec, runner=_runner())
+    assert profiler.total_nj() == pytest.approx(report.observed_energy_nj,
+                                                rel=1e-9)
+
+
 def test_the_per_kernel_builders_are_gone():
     gone = [(runner, "_CapturedRun"), (KernelRunner, "_launch"),
             (KernelRunner, "_build_cpu"), (composed, "run_fmul_p192"),

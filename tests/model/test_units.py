@@ -1,5 +1,6 @@
 """Seedable unit memos, unit planning and producer declarations."""
 
+import dataclasses
 import functools
 import pickle
 
@@ -82,12 +83,27 @@ def test_a_computed_unit_pickles_and_seeds_another_process_memos():
 
 
 def test_plan_is_deterministic_and_skips_held_units():
+    """Each unit once, in the order its names first come (a pooled
+    sweep queues the units in the order the specs first declare them)."""
     names = ["icache:1024:1", "curve:P-192", "curve:B-571",
              "icache:8192:0", "curve:P-192"]
-    assert units.plan(names) == units.plan(reversed(names)) == [
-        "curve:B-571", "curve:P-192", "icache:1024:1", "icache:8192:0"]
+    assert units.plan(names) == units.plan(iter(names)) == [
+        "icache:1024:1", "curve:P-192", "curve:B-571", "icache:8192:0"]
+    assert units.plan(reversed(names)) == [
+        "curve:P-192", "icache:8192:0", "curve:B-571", "icache:1024:1"]
     units.seed([(units.CACHE_STUDY, (1024, True), object())])
-    assert "icache:1024:1" not in units.plan(names)
+    assert units.plan(names) == [
+        "curve:P-192", "curve:B-571", "icache:8192:0"]
+
+
+def test_the_catalog_plans_its_units_in_first_declared_order():
+    names = [name for spec in registry().values() for name in spec.units]
+    assert units.plan(names) == (
+        [f"curve:P-{b}" for b in (192, 224, 256, 384, 521)]
+        + [f"curve:B-{b}" for b in (163, 233, 283, 409, 571)]
+        + ["icache:4096:0", "icache:1024:0", "icache:1024:1",
+           "icache:2048:0", "icache:2048:1", "icache:4096:1",
+           "icache:8192:0", "icache:8192:1"])
 
 
 def test_every_curve_unit_prices_two_isa_settings():
@@ -116,3 +132,46 @@ def test_declarations_cover_eighteen_artifacts_and_units():
         "curve:P-192", "icache:1024:0", "icache:1024:1", "icache:2048:0",
         "icache:2048:1", "icache:4096:0", "icache:4096:1", "icache:8192:0",
         "icache:8192:1")
+
+
+def test_a_units_fills_generate_one_key_pair(monkeypatch):
+    """Op counts and both Billie runs share one key pair (d*G is one
+    software scalar multiplication, the costliest part of a fill)."""
+    import sys
+
+    from repro.ecdsa.core import generate_keypair
+
+    made = []
+
+    def counting(curve, seed=b"repro"):
+        made.append((curve.name, seed))
+        return generate_keypair(curve, seed=seed)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("repro")
+                and getattr(module, "generate_keypair", None)
+                is generate_keypair):
+            monkeypatch.setattr(module, "generate_keypair", counting)
+    opcount.keypair.cache_clear()
+    units.compute("curve:B-163")
+    assert made == [("B-163", b"opcount")]
+
+
+def test_a_wrong_billie_sign_result_raises(monkeypatch):
+    """Billie's sign run must land on the key pair's d*G; the check
+    raises (no ``assert``) and the memo keeps nothing."""
+    from repro.ec.point import AffinePoint
+    from repro.kernels.catalog import KernelMismatch
+    from repro.model import billie_driver, system
+
+    real = billie_driver.run_sliding_window
+
+    def corrupted(*args, **kwargs):
+        run = real(*args, **kwargs)
+        return dataclasses.replace(
+            run, result=AffinePoint(run.result.x ^ 1, run.result.y))
+
+    monkeypatch.setattr(billie_driver, "run_sliding_window", corrupted)
+    with pytest.raises(KernelMismatch, match="Billie sign on B-163"):
+        system._billie_primitive_run("B-163", "sign")
+    assert not units.MEMOS[units.BILLIE_RUN].values

@@ -1,5 +1,8 @@
-"""Pooled sweeps with the default task body: units once, readers inline."""
+"""Pooled sweeps with the default task body: units once, each reader
+rendered inline as soon as its units land."""
 
+import functools
+import os
 import time
 
 import pytest
@@ -9,11 +12,15 @@ from repro.harness.registry import get_spec
 from repro.model import units
 from repro.sweep.cache import ResultCache
 from repro.sweep.engine import SweepEngine, SweepResult
+from repro.sweep.keys import artifact_key
 
 from tests.sweep.test_engine import ListLedger
 
 #: two readers (4 curves + 8 caches between them) and one unit-free table
 SELECTION = (("figure", "7.9"), ("figure", "7.12"), ("table", "7.3"))
+#: figure 7.11 reads P-192, P-256 and P-384; figure 7.9 reads P-192,
+#: B-163, P-256 and B-283; table 7.3 reads no unit
+STREAM = (("figure", "7.11"), ("figure", "7.9"), ("table", "7.3"))
 _REAL_COMPUTE = units.compute
 
 
@@ -42,6 +49,39 @@ def hanging_compute(name):
     if name == "curve:P-192":
         time.sleep(30.0)
     return _REAL_COMPUTE(name)
+
+
+def _wait_for(path, deadline_s=30.0):
+    deadline = time.monotonic() + deadline_s
+    while not os.path.exists(path):
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"{path} never appeared")
+        time.sleep(0.01)
+
+
+def gated_compute(gates, name):
+    """Fill unit ``name`` once the file ``gates`` names for it exists;
+    a gate of ``None`` fails the unit at once."""
+    if name in gates:
+        if gates[name] is None:
+            raise RuntimeError("injected unit failure")
+        _wait_for(gates[name])
+    return _REAL_COMPUTE(name)
+
+
+class MarkerLedger(ListLedger):
+    """Also leaves one file per record, which a pool worker can see."""
+
+    def __init__(self, directory):
+        super().__init__()
+        self.directory = directory
+
+    def marker(self, artifact):
+        return str(self.directory / f"{artifact}.settled")
+
+    def append(self, record):
+        open(self.marker(record["artifact"]), "w").close()
+        return super().append(record)
 
 
 def test_pooled_units_once_then_readers_inline(tmp_path):
@@ -119,6 +159,64 @@ def test_a_hung_unit_is_reaped_and_fails_its_readers(monkeypatch):
         assert by_name[name].error.startswith("unit curve:P-192: timed out")
     assert by_name["7.3"].status == "computed"
     assert elapsed < 15.0
+
+
+def test_a_reader_renders_while_other_units_run(tmp_path, monkeypatch):
+    """B-163 (read by figure 7.9 only) waits for figure 7.11's cache
+    entry, so 7.11 must render, and write its entry, while B-163 is
+    still running."""
+    specs = _specs(*STREAM)
+    cache = ResultCache(tmp_path)
+    gates = {"curve:B-163": cache.path_for(artifact_key(specs[0]))}
+    monkeypatch.setattr(units, "compute",
+                        functools.partial(gated_compute, gates))
+    ledger = ListLedger()
+    result = SweepEngine(jobs=2, cache=cache, ledger=ledger, retries=0,
+                         timeout_s=20.0, mp_context="fork").run(specs)
+    assert [o.status for o in result.outcomes] == ["computed"] * 3
+    assert result.units == 5 and result.units_inline == 0
+    order = [r["artifact"] for r in ledger.records]
+    assert order.index("figure_7.11") < order.index("figure_7.9")
+    assert len(cache) == 3
+
+
+def test_a_failed_units_readers_fail_before_a_slower_unit_lands(
+        tmp_path, monkeypatch):
+    """P-384 (read by figure 7.11 only) fails at once; B-283 (read by
+    figure 7.9 only) waits for 7.11's ledger record, so 7.11 must fail
+    while B-283 is still running."""
+    ledger = MarkerLedger(tmp_path)
+    gates = {"curve:P-384": None,
+             "curve:B-283": ledger.marker("figure_7.11")}
+    monkeypatch.setattr(units, "compute",
+                        functools.partial(gated_compute, gates))
+    result = SweepEngine(jobs=2, ledger=ledger, retries=0, timeout_s=20.0,
+                         mp_context="fork").run(_specs(*STREAM))
+    by_name = {o.name: o for o in result.outcomes}
+    assert by_name["7.11"].status == "failed"
+    assert by_name["7.11"].error == (
+        "unit curve:P-384: RuntimeError: injected unit failure")
+    assert by_name["7.9"].status == by_name["7.3"].status == "computed"
+    assert result.units == 4 and result.units_inline == 0
+    order = [r["artifact"] for r in ledger.records]
+    assert order.index("figure_7.11") < order.index("figure_7.9")
+
+
+def test_unit_tasks_start_in_first_declared_order_after_unit_free_ones():
+    obs.enable()
+    try:
+        SweepEngine(jobs=2, ledger=ListLedger(),
+                    mp_context="fork").run(_specs(*STREAM))
+    finally:
+        snapshot = obs.disable()
+    # pool attempts carry an ``attempt`` label; rendered readers do not
+    started = sorted((s for s in snapshot["spans"]
+                      if s["name"] == "sweep.task"
+                      and "attempt" in s["labels"]),
+                     key=lambda s: s["start_s"])
+    assert [s["labels"]["task"] for s in started] == [
+        "7.3", "curve:P-192", "curve:P-256", "curve:P-384", "curve:B-163",
+        "curve:B-283"]
 
 
 def test_summary_flags_unit_reads_in_the_parent():
